@@ -5,17 +5,18 @@ possible" so communication overlaps computation.  Our codegen already
 *places* sends at the earliest clock the polyhedral engine proves the
 data final -- what the two-sided transports cannot do is make the
 matching receive cheap: every message still charges the full
-``recv_overhead`` rendezvous cost on the receiver.  The PR 10 one-sided
-transport replaces that rendezvous with a window fence
+``recv_overhead`` rendezvous cost on the receiver.  Early-put programs
+(``SPMDOptions.early_puts``) replace that rendezvous with a window fence
 (``CostModel.fence_time``), so the receiver-side software wait shrinks
-from ``recv_overhead`` to ``fence_time`` per message.
+from ``recv_overhead`` to ``fence_time`` per message.  Both
+configurations run on the reliable transport.
 
 This benchmark quantifies the claim on the makespan decomposition
 (PR 5): **recv-wait** is the receiver-side software overhead bucket
 (``recv_overhead`` + ``fence`` -- the latter is zero on two-sided runs,
 the former zero on early-put runs), and *recovered* is the fraction of
-the baseline's recv-wait that the early-put/onesided configuration no
-longer spends.  Arrival-bound blocking (``blocked_on_recv``) is
+the baseline's recv-wait that the early-put configuration no longer
+spends.  Arrival-bound blocking (``blocked_on_recv``) is
 reported alongside: placement is identical in both configurations, so
 arrivals do not move -- part of the recovered overhead turns into
 earlier progress (smaller makespan) and the rest into waiting at the
@@ -94,12 +95,10 @@ def sweep():
             options=SPMDOptions(early_puts=True), **kw
         )[2]
         base = run_spmd(
-            base_spmd, params, cost=COST, backend="coop",
-            reliability="reliable",
+            base_spmd, params, cost=COST, reliability="reliable"
         )
         early = run_spmd(
-            early_spmd, params, cost=COST, backend="coop",
-            reliability="onesided",
+            early_spmd, params, cost=COST, reliability="reliable"
         )
         _assert_same_arrays(wname, base, early)
         base_wait, base_blocked = _buckets(base)

@@ -19,7 +19,6 @@ Run:  python examples/two_phase_reorg.py
 
 import os
 import sys
-import threading
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from repro import block, block_loop, generate_spmd, parse
 from repro.ir import allocate_arrays, run
-from repro.runtime import Machine, drive_node, reorganize
+from repro.runtime import EventScheduler, Machine, reorganize
 from repro.runtime.machine import Processor
 
 ROWS = """
@@ -77,14 +76,7 @@ def main() -> None:
         myp: Processor(machine2, myp, arrays)
         for myp, arrays in phase1.arrays.items()
     }
-    threads = [
-        threading.Thread(target=drive_node, args=(spmd_col.node, proc))
-        for proc in machine2.procs.values()
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
+    assert EventScheduler(machine2).run(spmd_col.node) == []
     msgs = sum(p.stats.messages_sent for p in machine2.procs.values())
     print(f"phase 2 (column sweep, col blocks): {msgs} point-to-point "
           f"messages")

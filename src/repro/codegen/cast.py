@@ -153,10 +153,10 @@ class CSend(CNode):
     ``dest``; the tag identifies the message across the whole run.
 
     ``put`` marks an early one-sided window write (``--early-puts``):
-    the emitter lowers it to ``proc.put`` -- on the onesided transport a
-    remote window update issued at this, the earliest clock the
-    polyhedral engine proves the data final; on two-sided transports an
-    alias of ``proc.send``, so the same program is its own oracle.
+    the emitter lowers it to ``proc.put`` -- a remote window update
+    issued at this, the earliest clock the polyhedral engine proves the
+    data final.  A put costs and travels exactly like ``proc.send``, so
+    the same program compiled without early puts is its oracle.
     """
 
     buffer: str
@@ -726,14 +726,13 @@ class PyEmitter:
     ``proc.execute_block``, ``proc.send``, ``proc.multicast``, and the
     ``proc.finish`` completion hook (emitted as the final statement so
     the runtime's progress monitor can tell a cleanly finished node
-    program from a dead thread when diagnosing deadlocks).
+    program from a dead one when diagnosing deadlocks).
 
     Node programs are **generator functions**: receives are emitted as
-    ``yield ('recv'|'recv_mc', src, tag)`` requests so the same program
-    runs under the threaded backend (whose driver answers each request
-    with a blocking receive) and the cooperative scheduler (which parks
-    the coroutine).  Programs with no receives get a dead ``yield`` to
-    keep the calling convention uniform.
+    ``yield ('recv'|'recv_mc', src, tag)`` requests, and the runtime's
+    discrete-event scheduler parks the coroutine until the message
+    exists.  Programs with no receives get a dead ``yield`` to keep the
+    calling convention uniform.
 
     With ``vectorize=True`` (the default), an innermost loop whose body
     is a single guarded compute, pack, or unpack -- plus any number of

@@ -2,10 +2,12 @@
 
 Layered as a small distributed runtime:
 
-* :mod:`~repro.runtime.machine` -- processors, clocks, cost model;
-* :mod:`~repro.runtime.transport` -- direct / unreliable / reliable /
-  onesided message transports (sequence numbers, ack/retransmit,
-  dedup, PGAS-style put/get windows with fences);
+* :mod:`~repro.runtime.machine` -- processors, clocks, cost model,
+  PGAS-style put/get windows with fences;
+* :mod:`~repro.runtime.scheduler` -- the discrete-event scheduler that
+  runs every processor as a coroutine;
+* :mod:`~repro.runtime.transport` -- direct / unreliable / reliable
+  message transports (sequence numbers, ack/retransmit, dedup);
 * :mod:`~repro.runtime.faults` -- deterministic fault injection
   (network faults and fail-stop processor crashes);
 * :mod:`~repro.runtime.checkpoint` -- coordinated checkpoint/restart
@@ -49,7 +51,6 @@ from .machine import (
     ProcStats,
     Processor,
     RunResult,
-    drive_node,
 )
 from .chaos import (
     ChaosFinding,
@@ -58,7 +59,7 @@ from .chaos import (
     load_reproducer,
     replay_reproducer,
 )
-from .scheduler import CoopScheduler, EventScheduler
+from .scheduler import EventScheduler
 from .trace import TraceBuffer, TraceEvent, match_messages
 from .transport import (
     CorruptionError,
@@ -67,7 +68,6 @@ from .transport import (
     LogOverflowError,
     LogRecord,
     MessageLog,
-    OneSidedTransport,
     ReliableTransport,
     Transport,
     TransportError,
@@ -84,7 +84,6 @@ __all__ = [
     "CollectiveStats",
     "CommEdge",
     "CommMatrix",
-    "CoopScheduler",
     "EventScheduler",
     "CorruptionError",
     "CostModel",
@@ -102,7 +101,6 @@ __all__ = [
     "LogRecord",
     "Machine",
     "MessageLog",
-    "OneSidedTransport",
     "ProcStats",
     "Processor",
     "ProcessorCrashed",
@@ -119,7 +117,6 @@ __all__ = [
     "comm_matrix",
     "critical_path",
     "decompose",
-    "drive_node",
     "explore",
     "load_reproducer",
     "match_messages",

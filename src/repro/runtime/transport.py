@@ -31,9 +31,14 @@ substrates:
     (``benchmarks/bench_fault_overhead.py``).
 
 Determinism: fault decisions come from the :class:`~.faults.FaultPlan`
-hash stream, and recovery is simulated *synchronously in the sending
-processor's thread* (the plan tells us, reproducibly, which attempt
-succeeds), so results are identical across thread schedules.
+hash stream, and recovery is simulated *synchronously inside the
+sending processor's operation* (the plan tells us, reproducibly, which
+attempt succeeds).
+
+A one-sided ``put`` (DESIGN.md §16) is a program verb, not a
+transport: ``Processor.put`` hands its payload to whichever transport
+is active with ``kind="put"``, which only changes the trace kind of the
+first transmission.
 
 Silent-data-corruption tolerance (DESIGN.md §12): when a fault plan
 injects payload corruption, transports become **self-checking** --
@@ -63,15 +68,12 @@ stays bit-identical to the pre-corruption-era goldens.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import WAKE
 from .faults import FaultPlan, flip_word
 from .trace import TraceEvent
 
@@ -82,7 +84,6 @@ __all__ = [
     "LogOverflowError",
     "LogRecord",
     "MessageLog",
-    "OneSidedTransport",
     "ReliableTransport",
     "Transport",
     "TransportError",
@@ -113,7 +114,7 @@ def copy_payload(payload):
     """A private copy of a message payload at an ownership boundary.
 
     Payloads are numpy float64 vectors on the generated-code path and
-    plain lists from hand-written harnesses; both cross thread/processor
+    plain lists from hand-written harnesses; both cross processor
     boundaries, so every envelope, snapshot and log entry must hold its
     own copy (aliasing a sender's buffer across processors would be a
     shared-memory bug the real machine cannot have).
@@ -216,8 +217,7 @@ class LogRecord:
     per-receiver delivery ordinal recorded when the first valid copy of
     the message entered the receiver's mailbox.  Local recovery
     re-serves logged messages to a restarted rank sorted by
-    ``(arrival, order)``, reproducing the recorded delivery order on
-    the deterministic single-threaded backends.
+    ``(arrival, order)``, reproducing the recorded delivery order.
     """
 
     src: Tuple[int, ...]
@@ -255,7 +255,6 @@ class MessageLog:
             raise ValueError(f"bytes_cap must be positive, got {bytes_cap!r}")
         self.bytes_cap = bytes_cap
         self._records: Dict[Tuple[Tuple[int, ...], tuple], LogRecord] = {}
-        self._lock = threading.Lock()
         #: live logged bytes per (src, dest) channel
         self.channel_bytes: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...]], int
@@ -277,38 +276,34 @@ class MessageLog:
         dest = tuple(dest)
         key = (dest, envelope.tag)
         src = tuple(envelope.src)
-        with self._lock:
-            if key in self._records:
-                return
-            size = len(envelope.payload) * _WORD_BYTES
-            channel = (src, dest)
-            logged = self.channel_bytes.get(channel, 0) + size
-            if self.bytes_cap is not None and logged > self.bytes_cap:
-                raise LogOverflowError(src, dest, logged, self.bytes_cap)
-            order = self._orders.get(dest, 0)
-            self._orders[dest] = order + 1
-            self._records[key] = LogRecord(
-                src=src,
-                seq=envelope.seq,
-                tag=envelope.tag,
-                payload=copy_payload(envelope.payload),
-                arrival=envelope.arrival,
-                sender_pc=envelope.sender_pc,
-                checksum=envelope.checksum,
-                order=order,
-            )
-            self.channel_bytes[channel] = logged
-            self.bytes_total += size
-            if self.bytes_total > self.bytes_peak:
-                self.bytes_peak = self.bytes_total
+        if key in self._records:
+            return
+        size = len(envelope.payload) * _WORD_BYTES
+        channel = (src, dest)
+        logged = self.channel_bytes.get(channel, 0) + size
+        if self.bytes_cap is not None and logged > self.bytes_cap:
+            raise LogOverflowError(src, dest, logged, self.bytes_cap)
+        order = self._orders.get(dest, 0)
+        self._orders[dest] = order + 1
+        self._records[key] = LogRecord(
+            src=src,
+            seq=envelope.seq,
+            tag=envelope.tag,
+            payload=copy_payload(envelope.payload),
+            arrival=envelope.arrival,
+            sender_pc=envelope.sender_pc,
+            checksum=envelope.checksum,
+            order=order,
+        )
+        self.channel_bytes[channel] = logged
+        self.bytes_total += size
+        if self.bytes_total > self.bytes_peak:
+            self.bytes_peak = self.bytes_total
 
     def records_for(self, dest: Tuple[int, ...]) -> List[LogRecord]:
         """Every logged message destined to ``dest`` (unsorted)."""
         dest = tuple(dest)
-        with self._lock:
-            return [
-                rec for (d, _tag), rec in self._records.items() if d == dest
-            ]
+        return [rec for (d, _tag), rec in self._records.items() if d == dest]
 
     def truncate(self, dest: Tuple[int, ...], dead_tags) -> int:
         """Drop logged messages to ``dest`` whose tags are provably
@@ -317,18 +312,17 @@ class MessageLog:
         returns the number of entries dropped."""
         dest = tuple(dest)
         dropped = 0
-        with self._lock:
-            for tag in dead_tags:
-                rec = self._records.pop((dest, tag), None)
-                if rec is None:
-                    continue
-                size = len(rec.payload) * _WORD_BYTES
-                channel = (rec.src, dest)
-                self.channel_bytes[channel] = (
-                    self.channel_bytes.get(channel, 0) - size
-                )
-                self.bytes_total -= size
-                dropped += 1
+        for tag in dead_tags:
+            rec = self._records.pop((dest, tag), None)
+            if rec is None:
+                continue
+            size = len(rec.payload) * _WORD_BYTES
+            channel = (rec.src, dest)
+            self.channel_bytes[channel] = (
+                self.channel_bytes.get(channel, 0) - size
+            )
+            self.bytes_total -= size
+            dropped += 1
         return dropped
 
 
@@ -337,12 +331,6 @@ class Transport:
 
     #: printable name, used by the CLI and reports
     name = "abstract"
-
-    #: trace kind stamped on a first-attempt transmission ("send" for
-    #: the two-sided transports; the one-sided transport overrides it
-    #: to "put" so traces show the programming model without changing
-    #: any timing -- retransmissions keep the "retransmit" kind)
-    SEND_KIND = "send"
 
     #: set by the machine when the fault plan can corrupt payloads (or
     #: the user forces it): senders stamp a checksum on every envelope
@@ -355,7 +343,11 @@ class Transport:
     #: :class:`CorruptionError`
     corrupt_is_drop = False
 
-    def send(self, proc, dest, tag, payload) -> None:
+    def send(self, proc, dest, tag, payload, kind="send") -> None:
+        """Transmit one logical message.  ``kind`` is the trace kind of
+        the first transmission: ``"send"``, or ``"put"`` for a one-sided
+        window write (same span and charge; retransmissions keep the
+        ``"retransmit"`` kind)."""
         raise NotImplementedError
 
     def multicast(self, proc, dests, tag, payload) -> None:
@@ -383,7 +375,8 @@ class Transport:
         proc.stats.messages_sent += 1
         proc.stats.words_sent += len(payload)
 
-    def _trace_send(self, proc, dest, tag, payload, start, *,
+    @staticmethod
+    def _trace_send(proc, dest, tag, payload, start, *, kind="send",
                     attempt=0, seq=None, note="") -> None:
         """Record one logical send.  ``start`` is the sender's clock
         before the startup charge (the event spans it); multicast legs
@@ -392,7 +385,7 @@ class Transport:
         trace = proc.machine.trace
         if trace is not None:
             trace.emit(TraceEvent(
-                kind=self.SEND_KIND, rank=proc.myp, start=start, end=proc.clock,
+                kind=kind, rank=proc.myp, start=start, end=proc.clock,
                 tag=tag, peer=tuple(dest), words=len(payload),
                 attempt=attempt, seq=seq,
                 incarnation=proc._incarnation, note=note,
@@ -443,7 +436,7 @@ class DirectTransport(Transport):
         proc.stats.corruptions_injected += 1
         return wire, seq, "corrupted"
 
-    def send(self, proc, dest, tag, payload) -> None:
+    def send(self, proc, dest, tag, payload, kind="send") -> None:
         machine = proc.machine
         start = proc.clock
         self._charge_startup(proc, payload)
@@ -458,7 +451,8 @@ class DirectTransport(Transport):
             ),
         )
         machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
-        self._trace_send(proc, dest, tag, payload, start, seq=seq, note=note)
+        self._trace_send(proc, dest, tag, payload, start, kind=kind,
+                         seq=seq, note=note)
 
     def multicast(self, proc, dests, tag, payload) -> None:
         if not dests:
@@ -492,11 +486,12 @@ class UnreliableTransport(Transport):
     def __init__(self, plan: FaultPlan):
         self.plan = plan
 
-    def send(self, proc, dest, tag, payload) -> None:
+    def send(self, proc, dest, tag, payload, kind="send") -> None:
         start = proc.clock
         self._charge_startup(proc, payload)
         self._count(proc, payload)
-        self._cast(proc, dest, tag, proc.machine.wire_copy(payload), start)
+        self._cast(proc, dest, tag, proc.machine.wire_copy(payload), start,
+                   kind=kind)
 
     def multicast(self, proc, dests, tag, payload) -> None:
         if not dests:
@@ -510,12 +505,14 @@ class UnreliableTransport(Transport):
             self._cast(proc, dest, tag, proc.machine.wire_copy(payload),
                        proc.clock, note="multicast")
 
-    def _cast(self, proc, dest, tag, payload, start, note="") -> None:
+    def _cast(self, proc, dest, tag, payload, start, note="",
+              kind="send") -> None:
         machine, plan = proc.machine, self.plan
         if plan.drops(proc.myp, dest, tag, 0):
             proc.stats.messages_lost += 1
             machine.monitor.record_send(proc.myp, dest, tag, delivered=False)
-            self._trace_send(proc, dest, tag, payload, start, note="dropped")
+            self._trace_send(proc, dest, tag, payload, start, kind=kind,
+                             note="dropped")
             return
         if plan.any_corruption_faults:
             # no checksum, no protocol: the flip is silent -- this
@@ -547,7 +544,8 @@ class UnreliableTransport(Transport):
                 ),
             )
         machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
-        self._trace_send(proc, dest, tag, payload, start, note=note)
+        self._trace_send(proc, dest, tag, payload, start, kind=kind,
+                         note=note)
 
 
 class ReliableTransport(Transport):
@@ -598,11 +596,12 @@ class ReliableTransport(Transport):
         self.backoff = backoff
         self.adaptive = adaptive
 
-    def send(self, proc, dest, tag, payload) -> None:
+    def send(self, proc, dest, tag, payload, kind="send") -> None:
         start = proc.clock
         self._charge_startup(proc, payload)
         self._count(proc, payload)
-        self._transmit(proc, dest, tag, copy_payload(payload), start)
+        self._transmit(proc, dest, tag, copy_payload(payload), start,
+                       kind=kind)
 
     def multicast(self, proc, dests, tag, payload) -> None:
         if not dests:
@@ -621,7 +620,8 @@ class ReliableTransport(Transport):
             return self.rto
         return 2.0 * cost.latency + cost.recv_overhead + cost.alpha
 
-    def _transmit(self, proc, dest, tag, payload, start, note="") -> None:
+    def _transmit(self, proc, dest, tag, payload, start, note="",
+                  kind="send") -> None:
         machine, plan = proc.machine, self.plan
         cost, monitor = machine.cost, machine.monitor
         trace = machine.trace
@@ -659,7 +659,7 @@ class ReliableTransport(Transport):
             )
             if trace is not None:
                 trace.emit(TraceEvent(
-                    kind=self.SEND_KIND if attempt == 0 else "retransmit",
+                    kind=kind if attempt == 0 else "retransmit",
                     rank=proc.myp, start=start, end=proc.clock,
                     tag=tag, peer=tuple(dest), words=len(payload),
                     attempt=attempt, seq=seq,
@@ -746,99 +746,3 @@ class ReliableTransport(Transport):
             f"attempt{'s' if self.max_retries else ''} "
             f"({'delivered but unacked' if delivered_once else 'all copies lost'})"
         )
-
-
-class OneSidedTransport(ReliableTransport):
-    """One-sided PGAS transport: remote windows updated by ``put``.
-
-    Each rank's tag-keyed stash *is* its remote-access window: a
-    ``put`` writes a remote window entry, a ``fence`` makes every
-    delivered put visible locally, and a ``get`` reads the local window
-    without consuming it.  The wire protocol is exactly the reliable
-    stop-and-wait ARQ (sequence numbers, acks, retransmission with
-    adaptive per-channel timers, receiver-side dedup, verify-before-
-    commit checksums), so arrays, clocks and ProcStats are
-    bit-identical to :class:`ReliableTransport` by construction -- the
-    only trace-visible difference is that first-attempt transmissions
-    carry the ``put`` kind instead of ``send`` (retransmissions keep
-    ``retransmit``).
-
-    Fault injection applies unchanged: drop/dup/stall decisions hit
-    puts exactly as they hit sends (same plan hash stream, same channel
-    ordinals), and a corrupted put is discarded by the receiver's
-    checksum verification *before* it can commit to the window -- the
-    ARQ retransmits it, so windows only ever hold verified data.
-
-    The synchronization *cost* lives in the receiving node program, not
-    here: a program compiled with ``SPMDOptions.early_puts`` waits at a
-    fence (priced at ``CostModel.fence_time`` per consumed message)
-    instead of paying ``recv_overhead`` per two-sided receive -- see
-    ``Processor._recv_finish`` and DESIGN.md §16.  The explicit
-    ``put``/``get``/``fence`` methods below expose the window model to
-    hand-written harnesses and the property-test suite.
-    """
-
-    name = "onesided"
-    SEND_KIND = "put"
-
-    def send(self, proc, dest, tag, payload) -> None:
-        proc.stats.puts += 1
-        super().send(proc, dest, tag, payload)
-
-    def multicast(self, proc, dests, tag, payload) -> None:
-        proc.stats.puts += len(dests)
-        super().multicast(proc, dests, tag, payload)
-
-    # -- explicit window API (hand-written harnesses, property tests) -----
-
-    def put(self, proc, dest, tag, payload) -> None:
-        """One-sided remote write: alias of :meth:`send` (the ARQ makes
-        the window update reliable and exactly-once)."""
-        self.send(proc, dest, tag, payload)
-
-    def fence(self, proc) -> None:
-        """Window synchronization point.
-
-        Commits every copy already delivered to ``proc``'s mailbox into
-        its window (the stash) -- corrupted copies are discarded by the
-        usual verify-before-commit, duplicated copies by seq dedup --
-        and charges ``CostModel.fence_time`` to the model clock.
-        """
-        start = proc.clock
-        while True:
-            try:
-                envelope = proc.mailbox.get_nowait()
-            except queue.Empty:
-                break
-            if envelope is WAKE:
-                continue
-            proc._recv_accept(envelope)
-        cost = proc.machine.cost
-        proc.clock += cost.fence_time
-        proc.stats.fences += 1
-        proc.stats.fence_time += cost.fence_time
-        trace = proc.machine.trace
-        if trace is not None:
-            trace.emit(TraceEvent(
-                kind="fence-wait", rank=proc.myp, start=start,
-                end=proc.clock, incarnation=proc._incarnation,
-            ))
-
-    def get(self, proc, tag):
-        """One-sided local window read: the payload ``tag`` holds after
-        the last fence, or ``None`` if no put has committed yet.  Reads
-        do not consume the window entry (unlike a two-sided recv) and
-        cost nothing beyond the fence that made the data visible."""
-        proc.stats.gets += 1
-        trace = proc.machine.trace
-        if trace is not None:
-            trace.emit(TraceEvent(
-                kind="get", rank=proc.myp, start=proc.clock,
-                end=proc.clock, tag=tag,
-                incarnation=proc._incarnation,
-            ))
-        entry = proc._stash.get(tag)
-        if entry is None:
-            return None
-        payload, _arrival = entry
-        return copy_payload(payload)

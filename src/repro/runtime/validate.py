@@ -33,7 +33,7 @@ def run_spmd(
     max_retries: int = 10,
     checkpoint: Optional[CheckpointPolicy] = None,
     max_restarts: int = 3,
-    backend: str = "threads",
+    backend: str = "event",
     trace=None,
     checksums: Optional[bool] = None,
     recovery: str = "global",
@@ -44,11 +44,8 @@ def run_spmd(
     ``fault_plan``/``reliability``/``max_retries`` configure the
     reliability subsystem; ``checkpoint``/``max_restarts`` configure
     fail-stop crash tolerance (see :class:`~.machine.Machine`).
-    ``backend`` selects the execution engine: ``"threads"`` (one OS
-    thread per processor, the default), ``"coop"`` (all processors
-    as coroutines on one thread, deterministic virtual-time order) or
-    ``"event"`` (discrete-event heap, same order, idle ranks cost
-    zero cycles -- prefer at large P).
+    ``backend`` accepts only ``"event"``, the discrete-event
+    scheduler that is the one execution engine.
     ``trace=True`` (or a caller-owned
     :class:`~.trace.TraceBuffer`) records the typed event trace on
     ``RunResult.trace``; off by default and observably free.
@@ -96,7 +93,7 @@ def check_against_sequential(
     timeout: float = 60.0,
     checkpoint: Optional[CheckpointPolicy] = None,
     max_restarts: int = 3,
-    backend: str = "threads",
+    backend: str = "event",
     trace=None,
     checksums: Optional[bool] = None,
     recovery: str = "global",

@@ -38,7 +38,6 @@ class TestHealthyStack:
     def test_every_schedule_meets_its_expectation(self):
         report = explore(
             workloads=("fig2", "pipe"),
-            backends=("coop",),
             seeds=3,
             corrupt_rate=0.3,
             targeted_limit=2,
@@ -54,69 +53,10 @@ class TestHealthyStack:
             assert rebuilt == scenario, name
 
 
-class TestOneSidedTrials:
-    def test_transport_axis_multiplies_network_trials_only(self):
-        """The transports axis applies to seed + targeted oracle trials
-        (both window and two-sided paths must survive the same fault
-        schedules); crash trials and the direct-transport detection
-        trials stay single-transport."""
-        base = explore(
-            workloads=("fig2",), backends=("coop",), seeds=2,
-            targeted=False, crashes=False,
-        )
-        both = explore(
-            workloads=("fig2",), backends=("coop",), seeds=2,
-            targeted=False, crashes=False,
-            transports=("reliable", "onesided"),
-        )
-        assert base.ok and both.ok
-        assert both.trials == 2 * base.trials
-
-    def test_onesided_corruption_trials_meet_the_oracle(self):
-        report = explore(
-            workloads=("fig2",), backends=("coop", "event"), seeds=2,
-            corrupt_rate=0.3, targeted=True, targeted_limit=2,
-            crashes=False, transports=("onesided",),
-        )
-        assert report.ok, report.format()
-        assert report.trials > 0
-
-    def test_explore_rejects_unknown_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            explore(workloads=(), transports=("direct",))
-
-    def test_onesided_finding_reproducer_records_transport(
-        self, verification_disabled
-    ):
-        """With verification seeded off, the onesided window commits a
-        corrupted put -- the finding's reproducer must name the
-        onesided transport and replay deterministically."""
-        report = explore(
-            workloads=("fig2",), backends=("threads",), seeds=0,
-            targeted_limit=2, crashes=False,
-            transports=("onesided",),
-        )
-        assert not report.ok, "seeded bug went undetected on onesided"
-        for finding in report.findings:
-            if finding.transport == "direct":
-                continue
-            assert finding.transport == "onesided"
-            doc = json.loads(
-                json.dumps(finding.reproducer, sort_keys=True)
-            )
-            assert doc["transport"] == "onesided"
-            reproduced, observed = replay_reproducer(doc)
-            assert reproduced, (
-                f"onesided reproducer did not replay: recorded "
-                f"{finding.observed}, observed {observed}"
-            )
-
-
 class TestInjectedBug:
     def test_finds_shrinks_and_replays(self, verification_disabled):
         report = explore(
             workloads=("fig2",),
-            backends=("threads",),
             seeds=0,
             targeted_limit=2,
         )
@@ -138,17 +78,26 @@ class TestInjectedBug:
         def run():
             report = explore(
                 workloads=("fig2",),
-                backends=("threads",),
                 seeds=0,
                 targeted_limit=1,
             )
             return [
-                (f.scenario, f.backend, f.transport, f.expected,
+                (f.scenario, f.transport, f.expected,
                  f.observed, f.events, plan_to_json(f.plan))
                 for f in report.findings
             ]
 
         assert run() == run()
+
+    @pytest.mark.parametrize("backend", ["threads", "coop"])
+    def test_old_reproducer_naming_a_removed_backend_replays(
+        self, verification_disabled, backend
+    ):
+        report = explore(workloads=("fig2",), seeds=0, targeted_limit=1)
+        assert report.findings
+        doc = dict(report.findings[0].reproducer, backend=backend)
+        reproduced, _observed = replay_reproducer(doc)
+        assert reproduced
 
 
 class TestPlanSerialization:

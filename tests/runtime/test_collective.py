@@ -115,18 +115,9 @@ class TestTwoPhaseProgram:
             myp: Processor(machine2, myp, arrays)
             for myp, arrays in result1.arrays.items()
         }
-        import threading
+        from repro.runtime import EventScheduler
 
-        from repro.runtime import drive_node
-
-        threads = [
-            threading.Thread(target=drive_node, args=(spmd_col.node, proc))
-            for proc in machine2.procs.values()
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        assert EventScheduler(machine2).run(spmd_col.node) == []
         col_messages = sum(
             p.stats.messages_sent for p in machine2.procs.values()
         )

@@ -4,11 +4,11 @@ Four guarantees under test:
 
 * **Recovery**: with payload corruption injected, the self-checking
   reliable transport delivers final arrays *bit-identical* to the
-  fault-free oracle on every conformance workload, backend and
-  vectorization mode -- and the PR 5 trace invariants still hold.
+  fault-free oracle on every conformance workload and vectorization
+  mode -- and the trace invariants still hold.
 * **Detection**: on the direct transport (no retransmission protocol)
   corruption surfaces as a structured :class:`CorruptionError` naming
-  the same channel message on both backends.
+  the same channel message on every run.
 * **Checkpoint integrity**: corrupted snapshots are rejected by digest
   at restore and recovery falls back to the last valid cut.
 * **Zero overhead**: with no corruption injected, checksummed runs are
@@ -32,41 +32,37 @@ from repro.runtime import (
 )
 
 from .trace_workloads import (
-    COMBOS,
-    TRANSPORTS,
+    VECTORIZE,
     WORKLOADS,
     assert_same_arrays,
     assert_trace_invariants as assert_invariants,
     compiled_spmd,
 )
 
-BACKENDS = ("threads", "coop", "event")
-
 
 class TestCorruptionRecovery:
     """Reliable transport + checksums: corruption is invisible in the
-    final answer, on every workload, backend and vectorization mode."""
+    final answer, on every workload and vectorization mode."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("early", [False, True],
+                             ids=["two_sided", "early_puts"])
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_arrays_bit_identical_to_fault_free_oracle(
-        self, name, transport
-    ):
-        """Both full-service transports: on onesided, a corrupted put
-        is verified *before* window commit (the stash) -- the reader
-        can never observe a corrupted word through a fence."""
+    def test_arrays_bit_identical_to_fault_free_oracle(self, name, early):
+        """Early-put programs too: a corrupted put is verified before
+        it lands in the receiver's stash, so no fence can expose a
+        corrupted word."""
         _build, params = WORKLOADS[name]
         plan = FaultPlan(seed=1, corrupt_rate=0.4)
         injected = 0
         messages = 0
-        for vec, backend in COMBOS:
-            spmd = compiled_spmd(name, vectorize=vec)
-            oracle = run_spmd(spmd, params, backend=backend)
+        for vec in VECTORIZE:
+            spmd = compiled_spmd(name, vectorize=vec, early_puts=early)
+            oracle = run_spmd(spmd, params)
             messages += oracle.total_messages
-            label = f"{name} vectorize={vec} backend={backend}"
+            label = f"{name} vectorize={vec} early_puts={early}"
             result = run_spmd(
-                spmd, params, backend=backend, fault_plan=plan,
-                reliability=transport, trace=True,
+                spmd, params, fault_plan=plan, reliability="reliable",
+                trace=True,
             )
             assert_same_arrays(result, oracle, label)
             assert_invariants(result, label)
@@ -79,36 +75,19 @@ class TestCorruptionRecovery:
         if messages:
             assert injected > 0, f"{name}: fault plan never fired"
 
-    def test_backends_bit_identical_under_corruption(self):
-        _build, params = WORKLOADS["pipe"]
-        plan = FaultPlan(seed=7, corrupt_rate=0.3)
-        spmd = compiled_spmd("pipe")
-        runs = {
-            backend: run_spmd(
-                spmd, params, backend=backend, fault_plan=plan
-            )
-            for backend in BACKENDS
-        }
-        a, b = runs["threads"], runs["coop"]
-        assert a.makespan == b.makespan
-        assert a.clocks == b.clocks
-        assert a.stats == b.stats
-        assert_same_arrays(a, b, "threads vs coop")
-
 
 class TestCorruptionDetection:
     """Direct transport: detected, structured, deterministic."""
 
-    def test_direct_raises_structured_error_on_both_backends(self):
+    def test_direct_raises_structured_error_deterministically(self):
         _build, params = WORKLOADS["fig2"]
         spmd = compiled_spmd("fig2")
         plan = FaultPlan(corruptions={((1,), (2,), 0): 0})
         errors = []
-        for backend in BACKENDS:
+        for _ in range(2):
             with pytest.raises(CorruptionError) as info:
                 run_spmd(
-                    spmd, params, backend=backend, fault_plan=plan,
-                    reliability="direct",
+                    spmd, params, fault_plan=plan, reliability="direct",
                 )
             errors.append(info.value)
         for err in errors:
@@ -137,7 +116,7 @@ def _sweep_case(name):
     if name not in _SWEEP:
         _build, params = WORKLOADS[name]
         spmd = compiled_spmd(name)
-        _SWEEP[name] = (spmd, params, run_spmd(spmd, params, backend="coop"))
+        _SWEEP[name] = (spmd, params, run_spmd(spmd, params))
     return _SWEEP[name]
 
 
@@ -151,7 +130,7 @@ class TestCorruptionSweep:
     def test_any_seed_any_rate_recovers_exactly(self, name, seed, rate):
         spmd, params, oracle = _sweep_case(name)
         plan = FaultPlan(seed=seed, corrupt_rate=rate)
-        result = run_spmd(spmd, params, backend="coop", fault_plan=plan)
+        result = run_spmd(spmd, params, fault_plan=plan)
         assert_same_arrays(result, oracle, f"{name} seed={seed} rate={rate}")
 
 
@@ -204,6 +183,31 @@ class TestZeroOverhead:
             assert on.stats == off.stats, name
             assert on.trace.normalized() == off.trace.normalized(), name
             assert_same_arrays(on, off, name)
+
+    def test_shared_transport_follows_each_machine(self):
+        """The checksum flag is set both ways: a transport that one
+        machine armed does not keep checksumming in the next."""
+        _build, params = WORKLOADS["fig2"]
+        spmd = compiled_spmd("fig2")
+        transport = ReliableTransport()
+        first = Machine(
+            spmd.program, spmd.space, params, transport=transport,
+            checksums=True,
+        )
+        assert first.transport.checksummed
+        second = Machine(
+            spmd.program, spmd.space, params, transport=transport,
+            checksums=False,
+        )
+        assert not second.checksums_enabled
+        assert not transport.checksummed
+        cost = CostModel(checksum_word_time=5.0)
+        priced = run_spmd(spmd, params, cost=cost)
+        shared = Machine(
+            spmd.program, spmd.space, params, cost=cost,
+            transport=transport, checksums=False,
+        ).run(spmd.node)
+        assert shared.makespan == priced.makespan
 
     def test_checksum_time_appears_only_when_priced(self):
         _build, params = WORKLOADS["fig2"]

@@ -1,10 +1,8 @@
-"""Large-P determinism for the discrete-event backend (ISSUE 7).
+"""Large-P determinism for the discrete-event scheduler.
 
-The event backend must be a pure scheduling optimization: running
-fig2 and the pipelined stencil at P=128 twice must give bit-identical
-arrays, normalized traces, and ProcStats across repeats -- and the
-same artifacts as the cooperative backend.  A structural-deadlock
-check mirrors the coop scheduler's diagnosis guarantees.
+Running fig2 and the pipelined stencil at P=128 twice must give
+bit-identical arrays, normalized traces, and ProcStats across repeats.
+Structural-deadlock checks pin the scheduler's diagnosis guarantees.
 """
 
 import time
@@ -52,23 +50,21 @@ def _assert_identical(base, other, label):
 
 class TestLargePDeterminism:
     @pytest.mark.parametrize("name", sorted(LARGE_WORKLOADS))
-    def test_event_repeatable_and_matches_coop_at_p128(self, name):
+    def test_event_repeatable_at_p128(self, name):
         spmd, params = _build(name)
-        first = run_spmd(spmd, params, backend="event", trace=True)
-        again = run_spmd(spmd, params, backend="event", trace=True)
-        coop = run_spmd(spmd, params, backend="coop", trace=True)
+        first = run_spmd(spmd, params, trace=True)
+        again = run_spmd(spmd, params, trace=True)
         assert len(first.clocks) == P
         _assert_identical(first, again, f"{name}: event run not repeatable")
-        _assert_identical(first, coop, f"{name}: event diverges from coop")
 
     @pytest.mark.parametrize("name", sorted(LARGE_WORKLOADS))
     def test_event_throughput_counters_populated(self, name):
         spmd, params = _build(name)
-        result = run_spmd(spmd, params, backend="event")
+        result = run_spmd(spmd, params)
         assert result.sim_events > 0
         assert result.wall_seconds > 0
         assert result.events_per_sec > 0
-        assert result.sched_wakeups is not None and result.sched_wakeups > 0
+        assert result.sched_wakeups > 0
 
 
 class TestEventScheduler:
@@ -78,12 +74,12 @@ class TestEventScheduler:
         comp = block_loop(stmt, ["i"], [32])
         return Machine(
             prog, comp.space, {"N": 70, "T": 0, "P": nprocs},
-            timeout=timeout, backend="event",
+            timeout=timeout,
         )
 
     def test_structural_deadlock_detected_fast(self):
-        """Same guarantee as coop: a mismatched receive is diagnosed by
-        the monitor's in-flight audit, not by waiting out the timeout."""
+        """A mismatched receive is diagnosed by the monitor's in-flight
+        audit, not by waiting out the run guard."""
         machine = self._machine(nprocs=2, timeout=60.0)
 
         def bad_node(proc):

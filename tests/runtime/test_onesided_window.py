@@ -1,7 +1,8 @@
 """One-sided window semantics: fence ordering and put idempotence.
 
-The PGAS transport's contract (DESIGN.md §16), pinned by property
-tests over the raw ``put``/``fence``/``get`` API:
+The window contract (DESIGN.md §16), pinned by property tests over the
+``Processor.put`` / ``Processor.fence`` / ``Processor.get`` verbs on
+the reliable transport:
 
 * **Fence ordering**: a ``get`` never observes a pre-fence put at all
   -- and never *partially*.  Payload words commit to the window
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.decomp import block_loop
 from repro.lang import parse
-from repro.runtime import CostModel, FaultPlan, Machine, OneSidedTransport
+from repro.runtime import CostModel, FaultPlan, Machine, ReliableTransport
 from repro.runtime.machine import Processor
 
 SRC = """
@@ -39,17 +40,18 @@ for t = 0 to T do
 
 
 def window_machine(nprocs=2, plan=None, cost=None):
-    """A machine + live processors for driving the transport directly
-    (no scheduler: the tests control delivery and fence order)."""
+    """A machine + live processors for driving the window verbs
+    directly (no scheduler: the tests control delivery and fence
+    order)."""
     prog = parse(SRC)
     stmt = prog.statements()[0]
     comp = block_loop(stmt, ["i"], [16])
     machine = Machine(
         prog, comp.space, {"N": 70, "T": 0, "P": nprocs},
-        reliability="onesided", fault_plan=plan,
+        reliability="reliable", fault_plan=plan,
         cost=cost or CostModel(),
     )
-    assert isinstance(machine.transport, OneSidedTransport)
+    assert isinstance(machine.transport, ReliableTransport)
     procs = {myp: Processor(machine, myp, {}) for myp in machine.rank_order}
     machine.procs = procs
     return machine, procs
@@ -68,14 +70,13 @@ class TestFenceOrdering:
         self, payload, tag_id
     ):
         machine, procs = window_machine()
-        t = machine.transport
         p0, p1 = procs[(0,)], procs[(1,)]
         tag = ("w", tag_id)
-        t.put(p0, (1,), tag, payload)
+        p0.put((1,), tag, payload)
         # in flight: the window shows nothing at all for this tag
-        assert t.get(p1, tag) is None
-        t.fence(p1)
-        got = t.get(p1, tag)
+        assert p1.get(tag) is None
+        p1.fence()
+        got = p1.get(tag)
         assert got is not None
         assert np.array_equal(got, payload)
 
@@ -85,18 +86,17 @@ class TestFenceOrdering:
         """Same-tag puts across fences: each fence exposes one complete
         payload.  A reader can never see old and new words mixed."""
         machine, procs = window_machine()
-        t = machine.transport
         p0, p1 = procs[(0,)], procs[(1,)]
         tag = ("w", 0)
-        t.put(p0, (1,), tag, first)
-        t.fence(p1)
-        assert np.array_equal(t.get(p1, tag), first)
-        t.put(p0, (1,), tag, second)
+        p0.put((1,), tag, first)
+        p1.fence()
+        assert np.array_equal(p1.get(tag), first)
+        p0.put((1,), tag, second)
         # the overwrite is in flight: the window still shows ALL of the
         # first payload, none of the second
-        assert np.array_equal(t.get(p1, tag), first)
-        t.fence(p1)
-        assert np.array_equal(t.get(p1, tag), second)
+        assert np.array_equal(p1.get(tag), first)
+        p1.fence()
+        assert np.array_equal(p1.get(tag), second)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -106,27 +106,25 @@ class TestFenceOrdering:
         """A single fence makes every in-flight put visible -- distinct
         tags never require distinct fences."""
         machine, procs = window_machine()
-        t = machine.transport
         p0, p1 = procs[(0,)], procs[(1,)]
         for k, payload in enumerate(data):
-            t.put(p0, (1,), ("w", k), payload)
-            assert t.get(p1, ("w", k)) is None
-        t.fence(p1)
+            p0.put((1,), ("w", k), payload)
+            assert p1.get(("w", k)) is None
+        p1.fence()
         for k, payload in enumerate(data):
-            assert np.array_equal(t.get(p1, ("w", k)), payload)
+            assert np.array_equal(p1.get(("w", k)), payload)
 
     def test_get_returns_copies_and_does_not_consume(self):
         machine, procs = window_machine()
-        t = machine.transport
         p0, p1 = procs[(0,)], procs[(1,)]
         payload = np.arange(6.0)
-        t.put(p0, (1,), ("w", 0), payload)
-        t.fence(p1)
-        first = t.get(p1, ("w", 0))
+        p0.put((1,), ("w", 0), payload)
+        p1.fence()
+        first = p1.get(("w", 0))
         first[:] = -1.0
-        again = t.get(p1, ("w", 0))
+        again = p1.get(("w", 0))
         assert np.array_equal(again, payload), "get must return a copy"
-        assert t.get(p1, ("w", 0)) is not None, "get must not consume"
+        assert p1.get(("w", 0)) is not None, "get must not consume"
         assert p1.stats.gets == 3
 
 
@@ -145,18 +143,17 @@ class TestPutIdempotence:
         counted and dropped before the window."""
         plan = FaultPlan(seed=seed, dup_rate=dup_rate)
         machine, procs = window_machine(plan=plan)
-        t = machine.transport
         p0, p1 = procs[(0,)], procs[(1,)]
         tag = ("w", 0)
-        t.put(p0, (1,), tag, payload)
-        copies = p1.mailbox.qsize()
+        p0.put((1,), tag, payload)
+        copies = len(p1.mailbox)
         assert copies >= 1
-        t.fence(p1)
-        assert np.array_equal(t.get(p1, tag), payload)
+        p1.fence()
+        assert np.array_equal(p1.get(tag), payload)
         assert p1.stats.duplicates_dropped == copies - 1
         # a later fence must not resurrect or re-apply anything
-        t.fence(p1)
-        assert np.array_equal(t.get(p1, tag), payload)
+        p1.fence()
+        assert np.array_equal(p1.get(tag), payload)
         assert p1.stats.duplicates_dropped == copies - 1
 
     def test_redelivery_after_commit_is_dropped(self):
@@ -165,46 +162,42 @@ class TestPutIdempotence:
         fence, leaving the window untouched."""
         plan = FaultPlan(seed=3, dup_rate=1.0)
         machine, procs = window_machine(plan=plan)
-        t = machine.transport
         p0, p1 = procs[(0,)], procs[(1,)]
         payload = np.arange(3.0)
-        t.put(p0, (1,), ("w", 0), payload)
-        assert p1.mailbox.qsize() == 2
+        p0.put((1,), ("w", 0), payload)
+        assert len(p1.mailbox) == 2
         # commit the original only
-        p1._recv_accept(p1.mailbox.get_nowait())
-        assert np.array_equal(t.get(p1, ("w", 0)), payload)
-        before = t.get(p1, ("w", 0))
-        t.fence(p1)  # drains the straggler duplicate
+        p1._recv_accept(p1.mailbox.popleft())
+        assert np.array_equal(p1.get(("w", 0)), payload)
+        before = p1.get(("w", 0))
+        p1.fence()  # drains the straggler duplicate
         assert p1.stats.duplicates_dropped == 1
-        assert np.array_equal(t.get(p1, ("w", 0)), before)
+        assert np.array_equal(p1.get(("w", 0)), before)
 
 
 class TestFencePricing:
     def test_each_fence_charges_fence_time(self):
         cost = CostModel(fence_time=25.0)
         machine, procs = window_machine(cost=cost)
-        t = machine.transport
         p1 = procs[(1,)]
         start = p1.clock
-        t.fence(p1)
-        t.fence(p1)
+        p1.fence()
+        p1.fence()
         assert p1.clock == start + 2 * cost.fence_time
         assert p1.stats.fences == 2
         assert p1.stats.fence_time == 2 * cost.fence_time
 
     def test_fence_is_free_by_default(self):
         machine, procs = window_machine()
-        t = machine.transport
         p1 = procs[(1,)]
         start = p1.clock
-        t.fence(p1)
+        p1.fence()
         assert p1.clock == start
         assert p1.stats.fences == 1
         assert p1.stats.fence_time == 0.0
 
     def test_missing_window_entry_reads_none_and_counts(self):
         machine, procs = window_machine()
-        t = machine.transport
         p1 = procs[(1,)]
-        assert t.get(p1, ("never", 9)) is None
+        assert p1.get(("never", 9)) is None
         assert p1.stats.gets == 1

@@ -1,18 +1,15 @@
-"""Cross-backend and cross-transport trace conformance.
+"""Trace conformance across codegen modes and early puts.
 
 The trace is only worth anything if it is a property of the *program
-on the modeled machine*, not of the engine that happened to execute
-it.  These tests pin that down: for every paper workload, the
-normalized event trace is **equal** between the threads and coop
-backends (at fixed codegen mode), and the communication-event subset
-is equal across all backend x vectorize combinations (vectorizing
-merges compute events but must never change what is communicated or
-when).  The one-sided transport joins the same matrix: for every
-``(workload, vectorize, backend)`` row, with and without early-put
-codegen, and with fences *priced* (nonzero ``fence_time``), the
-onesided run's arrays AND canonicalized normalized trace are
-bit-identical to the reliable run's.  A hypothesis sweep extends the
-backend guarantee to random fault-free pipelines.
+on the modeled machine*.  These tests pin that down: for every paper
+workload the normalized event trace is deterministic across repeated
+runs, and the communication-event subset is equal between scalar and
+vectorized codegen (vectorizing merges compute events but must never
+change what is communicated or when).  Early-put programs trace their
+one-sided writes as ``put`` on every transport, counted exactly by
+``ProcStats.puts``, and with fences *priced* (nonzero ``fence_time``)
+book the fence charge in its own bucket.  A hypothesis sweep extends
+the codegen guarantee to random fault-free pipelines.
 """
 
 import pytest
@@ -25,60 +22,43 @@ from repro.lang import parse
 from repro.runtime import CostModel, run_spmd
 
 from .trace_workloads import (
-    COMBOS,
     COMM_KINDS,
-    GRID,
-    TRANSPORTS,
+    VECTORIZE,
     WORKLOADS,
-    assert_same_arrays,
-    canonical_trace,
     compiled,
     compiled_spmd,
 )
 
 
-def traced(spmd, params, backend, **kw):
-    result = run_spmd(spmd, params, backend=backend, trace=True, **kw)
+def traced(spmd, params, **kw):
+    result = run_spmd(spmd, params, trace=True, **kw)
     assert result.trace is not None
     return result
 
 
-class TestBackendConformance:
+class TestCodegenConformance:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    @pytest.mark.parametrize("vec", [False, True])
-    def test_normalized_trace_identical_across_backends(self, name, vec):
-        build, params = WORKLOADS[name]
-        spmd = build(SPMDOptions(vectorize=vec))
-        base = traced(spmd, params, "threads").trace.normalized()
-        assert base, f"{name}: empty trace"
-        coop = traced(spmd, params, "coop").trace.normalized()
-        assert coop == base, (
-            f"{name} vectorize={vec}: threads and coop traces differ"
-        )
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_comm_events_identical_across_all_combos(self, name):
+    def test_comm_events_identical_across_codegen_modes(self, name):
         build, params = WORKLOADS[name]
         spmds = compiled(build)
         base = None
-        for vec, backend in COMBOS:
-            rows = traced(
-                spmds[vec], params, backend
-            ).trace.normalized(COMM_KINDS)
+        for vec in VECTORIZE:
+            rows = traced(spmds[vec], params).trace.normalized(COMM_KINDS)
             if base is None:
                 base = rows
             else:
                 assert rows == base, (
-                    f"{name} vectorize={vec} backend={backend}: "
-                    f"communication events differ from the base combo"
+                    f"{name} vectorize={vec}: communication events "
+                    f"differ from scalar codegen"
                 )
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_trace_is_deterministic_across_repeated_runs(self, name):
         build, params = WORKLOADS[name]
         spmd = build(SPMDOptions())
-        first = traced(spmd, params, "threads").trace.normalized()
-        second = traced(spmd, params, "threads").trace.normalized()
+        first = traced(spmd, params).trace.normalized()
+        assert first, f"{name}: empty trace"
+        second = traced(spmd, params).trace.normalized()
         assert first == second
 
     def test_vectorized_blocks_span_as_single_events(self):
@@ -87,8 +67,8 @@ class TestBackendConformance:
         the same total compute span."""
         build, params = WORKLOADS["lu"]
         spmds = compiled(build)
-        scalar = traced(spmds[False], params, "threads").trace
-        vector = traced(spmds[True], params, "threads").trace
+        scalar = traced(spmds[False], params).trace
+        vector = traced(spmds[True], params).trace
         s_events = scalar.by_kind("compute")
         v_events = vector.by_kind("compute")
         assert len(v_events) < len(s_events)
@@ -102,64 +82,31 @@ class TestBackendConformance:
 
 
 #: fences are deliberately priced *differently* from receive overhead
-#: so conformance cannot pass by accident: a fenced receive charging
-#: recv_overhead (or an unfenced one charging fence_time) shifts every
-#: downstream clock and fails the trace comparison
+#: so the bucket test cannot pass by accident: a fenced receive charging
+#: recv_overhead books nothing in fence_time
 _FENCED_COST = CostModel(fence_time=37.0)
 
 
-class TestOneSidedConformance:
-    """PR 10 acceptance: the unified matrix, onesided vs reliable."""
+class TestEarlyPuts:
+    """Put and fence are program verbs, priced and counted on whichever
+    transport carries them."""
 
-    @pytest.mark.parametrize("name,vec,backend", GRID)
-    def test_onesided_matches_reliable_bit_for_bit(
-        self, name, vec, backend
-    ):
+    @pytest.mark.parametrize("reliability", ["direct", "reliable"])
+    @pytest.mark.parametrize("name", ["fig2", "lu"])
+    def test_puts_counted_on_every_transport(self, name, reliability):
         _build, params = WORKLOADS[name]
-        for early in (False, True):
-            spmd = compiled_spmd(name, vectorize=vec, early_puts=early)
-            runs = {
-                tr: run_spmd(
-                    spmd, params, cost=_FENCED_COST, reliability=tr,
-                    backend=backend, trace=True,
-                )
-                for tr in TRANSPORTS
-            }
-            base = runs["reliable"]
-            other = runs["onesided"]
-            label = f"{name} vec={vec} {backend} early_puts={early}"
-            assert other.makespan == base.makespan, label
-            assert other.clocks == base.clocks, label
-            assert_same_arrays(other, base, label)
-            assert canonical_trace(other.trace) == canonical_trace(
-                base.trace
-            ), f"{label}: canonicalized traces diverge"
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_put_events_appear_exactly_on_onesided(self, name):
-        """The canonicalization isn't vacuous: onesided runs trace
-        ``put``/``get``/``fence-wait`` where reliable traces
-        ``send``/``unpack``/``recv-wait`` -- counts must correspond."""
-        _build, params = WORKLOADS[name]
-        spmd = compiled_spmd(name, early_puts=True)
-        rel = run_spmd(
-            spmd, params, reliability="reliable", backend="coop",
-            trace=True,
+        early = traced(
+            compiled_spmd(name, early_puts=True), params,
+            reliability=reliability,
         )
-        one = run_spmd(
-            spmd, params, reliability="onesided", backend="coop",
-            trace=True,
+        puts = early.stat_sum("puts")
+        assert puts > 0
+        assert puts == early.trace.counts().get("put", 0)
+        plain = traced(
+            compiled_spmd(name), params, reliability=reliability
         )
-        rc, oc = rel.trace.counts(), one.trace.counts()
-        assert oc.get("put", 0) == rc.get("send", 0)
-        assert oc.get("send", 0) == 0
-        # fenced receives mark fence-wait/get on BOTH transports (the
-        # program decides the discipline; the transport only renames
-        # the transmission verb)
-        assert oc.get("fence-wait", 0) == rc.get("fence-wait", 0)
-        assert oc.get("get", 0) == rc.get("get", 0)
-        if rc.get("send", 0):
-            assert oc.get("put", 0) > 0
+        assert plain.stat_sum("puts") == 0
+        assert plain.trace.counts().get("put", 0) == 0
 
     def test_fence_pricing_lands_in_the_fence_bucket(self):
         """With fence_time priced, early-put runs book fence_time (not
@@ -169,9 +116,8 @@ class TestOneSidedConformance:
 
         _build, params = WORKLOADS["fig2"]
         spmd = compiled_spmd("fig2", early_puts=True)
-        result = run_spmd(
-            spmd, params, cost=_FENCED_COST, reliability="onesided",
-            backend="coop", trace=True,
+        result = traced(
+            spmd, params, cost=_FENCED_COST, reliability="reliable"
         )
         fences = result.stat_sum("fences")
         assert fences > 0
@@ -207,7 +153,9 @@ def random_pipeline(draw):
 class TestRandomProgramConformance:
     @settings(max_examples=8, deadline=None)
     @given(random_pipeline())
-    def test_random_pipeline_traces_identical_across_backends(self, case):
+    def test_random_pipeline_comm_identical_across_codegen_modes(
+        self, case
+    ):
         src, block_size, nprocs = case
         prog = parse(src)
         s1 = prog.statement("s1")
@@ -225,17 +173,9 @@ class TestRandomProgramConformance:
             for vec in (False, True)
         }
         comm_base = None
-        for vec in (False, True):
-            per_backend = []
-            for backend in ("threads", "coop", "event"):
-                result = run_spmd(
-                    spmds[vec], {"P": nprocs},
-                    initial_data=init, backend=backend, trace=True,
-                )
-                per_backend.append(result.trace)
-            for other in per_backend[1:]:
-                assert per_backend[0].normalized() == other.normalized()
-            comm = per_backend[0].normalized(COMM_KINDS)
+        for vec in VECTORIZE:
+            result = traced(spmds[vec], {"P": nprocs}, initial_data=init)
+            comm = result.trace.normalized(COMM_KINDS)
             if comm_base is None:
                 comm_base = comm
             else:

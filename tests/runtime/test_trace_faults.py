@@ -3,9 +3,9 @@
 Under injected network faults and fail-stop crashes the trace must
 (a) surface the recovery machinery as events -- retransmissions,
 timeouts, receiver-side dedup drops, checkpoints, crashes, restarts --
-with counts that reconcile with ``ProcStats``, (b) stay identical
-across execution backends, and (c) never perturb the run: final
-arrays still match the crash-free oracle.
+with counts that reconcile with ``ProcStats``, (b) be deterministic,
+drop markers included, and (c) never perturb the run: final arrays
+still match the crash-free oracle.
 """
 
 import dataclasses
@@ -21,13 +21,7 @@ from repro.runtime import (
     run_spmd,
 )
 
-from .trace_workloads import (
-    WORKLOADS,
-    canonical_trace,
-    compiled,
-    compiled_spmd,
-    same_arrays,
-)
+from .trace_workloads import WORKLOADS, same_arrays
 
 
 class TestLossyNetworkTraces:
@@ -68,61 +62,25 @@ class TestLossyNetworkTraces:
             "retransmissions"
         )
 
-    @pytest.mark.parametrize("name", ["fig2", "lu"])
-    def test_onesided_arq_recovery_matches_reliable(self, name):
-        """The window path inherits the full ARQ: under the same lossy
-        plan, onesided retransmits/timeouts/dedups exactly like
-        reliable, lands the oracle arrays, and its canonicalized trace
-        (put -> send) is bit-identical -- retransmissions keep their
-        two-sided verb on both transports."""
-        _build, params = WORKLOADS[name]
-        spmd = compiled_spmd(name)
-        plan = FaultPlan(**self.PLAN)
-        rel = run_spmd(
-            spmd, params, fault_plan=plan, reliability="reliable",
-            backend="coop", trace=True,
-        )
-        one = run_spmd(
-            spmd, params, fault_plan=plan, reliability="onesided",
-            backend="coop", trace=True,
-        )
-        assert same_arrays(rel, one)
-        assert one.makespan == rel.makespan
-        for field in ("retransmissions", "acks_lost",
-                      "duplicates_dropped", "timeout_time"):
-            assert one.stat_sum(field) == rel.stat_sum(field), field
-        assert one.stat_sum("retransmissions") > 0
-        assert canonical_trace(one.trace) == canonical_trace(rel.trace)
-        counts = one.trace.counts()
-        assert counts.get("retransmit", 0) > 0
-        assert counts.get("send", 0) == 0  # first attempts are puts
-
-    def test_lossy_traces_identical_across_backends(self):
+    def test_faulty_traces_are_deterministic_including_drop_markers(self):
+        """Duplicated, corrupted and reordered copies are accepted at
+        deterministic points, so two runs under the same plan give the
+        same unfiltered trace -- dup-drop and corrupt-drop included."""
         build, params = WORKLOADS["fig2"]
         spmd = build(SPMDOptions())
-        plan = FaultPlan(**self.PLAN)
-        runs = {
-            backend: run_spmd(
-                spmd, params, fault_plan=plan, backend=backend, trace=True
-            )
-            for backend in ("threads", "coop", "event")
-        }
-        # dup-drop placement *and count* depend on wall-clock arrival
-        # interleaving; everything else -- including every
-        # retransmit/timeout/ack-lost -- must agree
-        assert (
-            runs["threads"].trace.normalized()
-            == runs["coop"].trace.normalized()
+        plan = FaultPlan(
+            seed=3, dup_rate=0.3, corrupt_rate=0.2, reorder_rate=0.3
         )
-
-        def stable_counts(trace):
-            counts = dict(trace.counts())
-            counts.pop("dup-drop", None)
-            return counts
-
-        assert stable_counts(runs["threads"].trace) == stable_counts(
-            runs["coop"].trace
+        first, second = (
+            run_spmd(spmd, params, fault_plan=plan, trace=True)
+            for _ in range(2)
         )
+        counts = first.trace.counts()
+        assert counts.get("dup-drop", 0) > 0
+        assert counts.get("corrupt-drop", 0) > 0
+        assert first.trace.normalized() == second.trace.normalized()
+        for rank in first.trace.ranks():
+            assert first.trace.per_rank(rank) == second.trace.per_rank(rank)
 
     def test_decomposition_holds_under_faults(self):
         build, params = WORKLOADS["lu"]
@@ -197,21 +155,3 @@ class TestCrashTraces:
             total_recovery += stats.recovery_time
         # per-processor recovery sums to the machine-level figure
         assert total_recovery == result.recovery_time
-
-    def test_crash_traces_identical_across_backends(self):
-        build, params = WORKLOADS["fig2"]
-        spmd = build(SPMDOptions())
-        base = run_spmd(spmd, params)
-        plan = FaultPlan(crashes={(0,): base.makespan / 2})
-        runs = {
-            backend: run_spmd(
-                spmd, params, fault_plan=plan,
-                checkpoint=CheckpointPolicy(every_ops=20),
-                backend=backend, trace=True,
-            )
-            for backend in ("threads", "coop", "event")
-        }
-        assert (
-            runs["threads"].trace.normalized()
-            == runs["coop"].trace.normalized()
-        )

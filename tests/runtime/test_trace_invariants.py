@@ -1,7 +1,8 @@
 """Trace invariants (ISSUE 5 satellite 2 + satellite 4 + acceptance).
 
-Property tests over every paper workload under every backend x
-vectorize combination:
+Property tests over every paper workload in both codegen modes
+(scalar and vectorized), with and without early puts, on both the
+direct and the reliable transport:
 
 * every ``recv-complete`` matches a send with an equal word count;
 * per-processor event clocks are monotone, and the spanning events
@@ -18,7 +19,6 @@ vectorize combination:
 
 import pytest
 
-from repro.codegen import SPMDOptions
 from repro.runtime import (
     Decomposition,
     comm_matrix,
@@ -28,36 +28,28 @@ from repro.runtime import (
 )
 from repro.runtime.analysis import unmatched_receives
 
-from .trace_workloads import COMBOS, WORKLOADS, compiled
-
-#: (workload, vectorize, backend) over the full matrix
-CASES = [
-    (name, vec, backend)
-    for name in sorted(WORKLOADS)
-    for vec, backend in COMBOS
-]
+from .trace_workloads import MACHINE_GRID, WORKLOADS, compiled_spmd
 
 
 @pytest.fixture(scope="module")
 def runs():
-    """One traced run per (workload, vectorize, backend)."""
+    """One traced run per (workload, vectorize, early_puts, transport)."""
     out = {}
-    for name in sorted(WORKLOADS):
-        build, params = WORKLOADS[name]
-        spmds = compiled(build)
-        for vec, backend in COMBOS:
-            out[(name, vec, backend)] = run_spmd(
-                spmds[vec], params, backend=backend, trace=True
-            )
+    for name, vec, early, reliability in MACHINE_GRID:
+        _build, params = WORKLOADS[name]
+        spmd = compiled_spmd(name, vectorize=vec, early_puts=early)
+        out[(name, vec, early, reliability)] = run_spmd(
+            spmd, params, reliability=reliability, trace=True
+        )
     return out
 
 
-@pytest.mark.parametrize("name,vec,backend", CASES)
+@pytest.mark.parametrize("name,vec,early,reliability", MACHINE_GRID)
 class TestTraceInvariants:
     def test_every_receive_matches_a_send_with_equal_words(
-        self, runs, name, vec, backend
+        self, runs, name, vec, early, reliability
     ):
-        trace = runs[(name, vec, backend)].trace
+        trace = runs[(name, vec, early, reliability)].trace
         receives = trace.by_kind("recv-complete")
         pairs = match_messages(trace)
         assert len(pairs) == len(receives)
@@ -71,9 +63,9 @@ class TestTraceInvariants:
             assert recv.arrival >= send.end
 
     def test_per_processor_clocks_monotone_and_contiguous(
-        self, runs, name, vec, backend
+        self, runs, name, vec, early, reliability
     ):
-        result = runs[(name, vec, backend)]
+        result = runs[(name, vec, early, reliability)]
         trace = result.trace
         for rank in trace.proc_ranks():
             events = trace.per_rank(rank)
@@ -96,8 +88,10 @@ class TestTraceInvariants:
                 edge = ev.end
             assert edge == result.clocks[rank]
 
-    def test_critical_path_equals_makespan(self, runs, name, vec, backend):
-        result = runs[(name, vec, backend)]
+    def test_critical_path_equals_makespan(
+        self, runs, name, vec, early, reliability
+    ):
+        result = runs[(name, vec, early, reliability)]
         path = critical_path(result.trace)
         assert path.complete
         assert path.length == result.makespan
@@ -114,9 +108,9 @@ class TestTraceInvariants:
                 assert cur.end == cur.arrival
 
     def test_comm_matrix_reconciles_with_proc_stats(
-        self, runs, name, vec, backend
+        self, runs, name, vec, early, reliability
     ):
-        result = runs[(name, vec, backend)]
+        result = runs[(name, vec, early, reliability)]
         trace = result.trace
         matrix = comm_matrix(trace)
         assert matrix.total_messages == result.total_messages
@@ -131,13 +125,13 @@ class TestTraceInvariants:
             assert words == stats.words_received
 
     def test_decomposition_sums_to_finish_clock(
-        self, runs, name, vec, backend
+        self, runs, name, vec, early, reliability
     ):
         """The satellite-4 accounting audit: with send overhead and
         receive overhead now in dedicated ProcStats buckets, the
         decomposition is exhaustive -- buckets sum to the finish clock
         with zero residue, scalar and vectorized alike."""
-        result = runs[(name, vec, backend)]
+        result = runs[(name, vec, early, reliability)]
         for myp, stats in result.stats.items():
             deco = Decomposition.from_stats(stats)
             assert deco.total() == result.clocks[myp], (
@@ -154,7 +148,7 @@ class TestTraceInvariants:
 
 class TestChromeExport:
     def test_chrome_export_shape(self, runs):
-        result = runs[("fig2", True, "threads")]
+        result = runs[("fig2", True, False, "direct")]
         doc = result.trace.to_chrome()
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         events = doc["traceEvents"]
@@ -176,7 +170,7 @@ class TestChromeExport:
     def test_write_chrome_roundtrip(self, runs, tmp_path):
         import json
 
-        result = runs[("pipe", False, "coop")]
+        result = runs[("pipe", False, False, "direct")]
         out = tmp_path / "trace.json"
         result.trace.write_chrome(str(out))
         doc = json.loads(out.read_text())

@@ -1,7 +1,7 @@
 """The unified conformance matrix: workloads, axes and oracle helpers.
 
 One module owns the grid every conformance suite sweeps --
-``(workload, vectorize, backend, transport)`` -- plus the shared
+``(workload, vectorize)`` -- plus the shared
 oracle/invariant assertions, so the execution-equivalence, trace,
 fault, corruption and local-recovery suites all check the *same*
 machine configurations and any divergence is attributable to the
@@ -11,12 +11,10 @@ same programs).
 Axes:
 
 * ``WORKLOADS`` -- the five paper workloads with pinned parameters;
-* ``COMBOS`` -- {scalar, vector} x {threads, coop, event};
-* ``TRANSPORTS`` -- the two full-service transports, ``reliable``
-  (two-sided ARQ) and ``onesided`` (PGAS windows over the same ARQ);
-  they must be bit-exact with each other, which is what
-  :func:`canonical_trace` makes comparable (a one-sided first
-  transmission is traced as ``put`` where two-sided says ``send``).
+* ``VECTORIZE`` -- {scalar, vector} codegen;
+* ``EARLY_PUTS`` -- {two-sided, early-put} codegen;
+* ``RELIABILITY`` -- the fault-free-capable transports, ``direct``
+  (no protocol) and ``reliable`` (ARQ); both carry early-put programs.
 
 Helpers: :func:`compiled_spmd` caches compilations across suites
 (keyed by workload x vectorize x early_puts), :func:`same_arrays` /
@@ -135,28 +133,30 @@ WORKLOADS = {
     "stencil": (build_stencil, {"N": 64, "T": 3, "P": 2}),
 }
 
-#: every backend x codegen combination PR 4 introduced
-COMBOS = [
-    (vec, backend)
-    for vec in (False, True)
-    for backend in ("threads", "coop", "event")
-]
+#: both codegen modes: scalar and vectorized
+VECTORIZE = (False, True)
 
-#: the full-service transports that must agree bit for bit (PR 10);
-#: ``direct`` and ``unreliable`` are deliberately absent -- one prices
-#: no reliability machinery, the other provides none
-TRANSPORTS = ("reliable", "onesided")
+#: both communication disciplines: two-sided receives and early puts
+EARLY_PUTS = (False, True)
+
+#: the transports a fault-free run can use; ``unreliable`` is absent
+#: because it provides no delivery guarantee
+RELIABILITY = ("direct", "reliable")
 
 #: the full conformance grid: one row per machine configuration
-GRID = [
-    (name, vec, backend)
-    for name in sorted(WORKLOADS)
-    for vec, backend in COMBOS
+GRID = [(name, vec) for name in sorted(WORKLOADS) for vec in VECTORIZE]
+
+#: the grid extended by communication discipline and transport
+MACHINE_GRID = [
+    (name, vec, early, reliability)
+    for name, vec in GRID
+    for early in EARLY_PUTS
+    for reliability in RELIABILITY
 ]
 
-#: communication-event kinds: invariant not just across backends but
-#: across scalar/vectorized codegen too (vectorization only merges
-#: compute events; it must never change what is communicated or when)
+#: communication-event kinds: invariant across scalar/vectorized
+#: codegen (vectorization only merges compute events; it must never
+#: change what is communicated or when)
 COMM_KINDS = (
     "pack",
     "send",
@@ -194,24 +194,6 @@ def compiled_spmd(name, vectorize=False, early_puts=False):
             SPMDOptions(vectorize=vectorize, early_puts=early_puts)
         )
     return _COMPILED[key]
-
-
-def canonical_trace(trace, kinds=None):
-    """Normalized trace rows with transport-specific verbs canonicalized.
-
-    A first transmission is traced as ``put`` on the one-sided
-    transport and ``send`` on two-sided ones; every other field of the
-    event (span, charge, tag, peer, words, seq) is identical by
-    construction.  Mapping ``put`` back to ``send`` makes onesided and
-    reliable traces directly comparable -- any *other* difference is a
-    real conformance violation.
-    """
-    rows = [
-        row[:3] + ("send" if row[3] == "put" else row[3],) + row[4:]
-        for row in trace.normalized(kinds)
-    ]
-    rows.sort()
-    return rows
 
 
 def same_arrays(a, b) -> bool:

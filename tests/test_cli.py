@@ -333,6 +333,8 @@ class TestCorruptionCLI:
         ["--checkpoint-corrupt-rate", "-0.1"],
         ["--checkpoint-corrupt-at", "0"],
         ["--crash-at", "zero@"],
+        ["--backend", "threads"],
+        ["--reliability", "onesided"],
     ])
     def test_invalid_knob_values_rejected_at_parse(self, program_file,
                                                    flags):
@@ -346,7 +348,7 @@ class TestChaosCLI:
     def test_clean_exploration_exits_zero(self, capsys):
         assert (
             main(
-                ["chaos", "--workload", "fig2", "--backend", "coop",
+                ["chaos", "--workload", "fig2",
                  "--seeds", "1", "--no-targeted"]
             )
             == 0
@@ -359,7 +361,7 @@ class TestChaosCLI:
         out_dir = tmp_path / "repros"
         assert (
             main(
-                ["chaos", "--workload", "fig2", "--backend", "threads",
+                ["chaos", "--workload", "fig2",
                  "--seeds", "0", "--inject-bug", "--out", str(out_dir)]
             )
             == 3
