@@ -2,10 +2,11 @@
 
 Programs in the paper's domain (Section 4.1): loop nests with affine
 bounds, statements with affine array accesses, symbolic parameters.
-Includes the sequential reference interpreter that defines the
-semantics every generated SPMD program must match, and a traced
-variant that observes the exact last-write relation for validating
-the dataflow analysis.
+Includes the sequential reference execution that defines the
+semantics every generated SPMD program must match (loop nests compiled
+to Python source, ``compiled.py``), and a traced tree-walking variant
+that observes the exact last-write relation for validating the
+dataflow analysis.
 """
 
 from .arrays import Access, Array

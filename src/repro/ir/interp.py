@@ -1,7 +1,9 @@
-"""Sequential reference interpreter and dataflow oracle.
+"""Sequential reference execution and dataflow oracle.
 
 ``run`` executes a program sequentially on dense numpy arrays -- the
-semantics every generated SPMD program must reproduce.  ``run_traced``
+semantics every generated SPMD program must reproduce.  It and
+``live_out_writes`` run the loop nest compiled to Python source once
+per call (:mod:`.compiled`).  ``run_traced`` walks the IR tree and
 additionally records, for every dynamic read instance, the write
 instance that produced the value read.  That trace is exactly the
 ground truth a Last Write Tree must predict, so tests can validate the
@@ -11,12 +13,12 @@ LWT analysis against observed execution on small parameter values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .arrays import Access
-from .loops import Loop, Statement
+from .compiled import compile_program
+from .loops import Statement
 from .program import Program
 
 
@@ -72,26 +74,27 @@ def run(
     params: Mapping[str, int],
     arrays: Optional[Dict[str, np.ndarray]] = None,
     seed: int = 0,
+    writers: Optional[Dict[Tuple[str, Tuple[int, ...]], WriteInstance]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Execute sequentially; returns the (mutated) arrays."""
+    """Execute sequentially; returns the (mutated) arrays.
+
+    Passing a dict as ``writers`` also fills it, in the same pass, with
+    the live-out map :func:`live_out_writes` returns.
+    """
     if arrays is None:
         arrays = allocate_arrays(program, params, seed)
-    env: Dict[str, int] = dict(params)
-
-    def walk(nodes):
-        for node in nodes:
-            if isinstance(node, Statement):
-                node.execute(arrays, env)
-            else:
-                low = node.lower.evaluate(env)
-                high = node.upper.evaluate(env)
-                for value in range(low, high + 1):
-                    env[node.var] = value
-                    walk(node.body)
-                env.pop(node.var, None)
-
-    walk(program.body)
+    if writers is None:
+        compile_program(program)(params, arrays, None)
+    else:
+        raw: dict = {}
+        compile_program(program, record=True)(params, arrays, raw)
+        writers.update(_write_instances(raw))
     return arrays
+
+
+def _write_instances(raw: dict):
+    for key, (stmt, *iteration) in raw.items():
+        yield key, WriteInstance(stmt, tuple(iteration))
 
 
 def run_traced(
@@ -141,26 +144,8 @@ def live_out_writes(
     """Which write instance owns each location at program exit.
 
     The ground truth for finalization (Section 4.4.3): locations never
-    written do not appear in the result.
+    written do not appear in the result.  No statement body runs.
     """
-    env: Dict[str, int] = dict(params)
-    writers: Dict[Tuple[str, Tuple[int, ...]], WriteInstance] = {}
-
-    def walk(nodes):
-        for node in nodes:
-            if isinstance(node, Statement):
-                iteration = tuple(env[v] for v in node.iter_vars)
-                wloc = node.lhs.evaluate(env)
-                writers[(node.lhs.array.name, wloc)] = WriteInstance(
-                    node.name, iteration
-                )
-            else:
-                low = node.lower.evaluate(env)
-                high = node.upper.evaluate(env)
-                for value in range(low, high + 1):
-                    env[node.var] = value
-                    walk(node.body)
-                env.pop(node.var, None)
-
-    walk(program.body)
-    return writers
+    raw: dict = {}
+    compile_program(program, body=False, record=True)(params, None, raw)
+    return dict(_write_instances(raw))

@@ -10,14 +10,11 @@ the access pattern -- exactly the paper's model).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..polyhedra import LinExpr, System
 from .arrays import Access, Array
-
-_STMT_COUNTER = itertools.count(1)
 
 
 @dataclass
@@ -57,6 +54,13 @@ class Statement:
     #: built directly from Python callables do not.
     fn_spec: Optional[tuple] = None
 
+    #: ``execute``'s compiled instance function, built on first call
+    #: (:func:`.compiled.compile_statement`).  ``lhs`` and ``reads`` are
+    #: never reassigned after ``__post_init__``, so it never goes stale;
+    #: ``fn`` is passed in at call time.  Not a dataclass field, and
+    #: dropped from the pickled state.
+    _compiled = None
+
     def __post_init__(self):
         # unnamed statements get "S<k>" when the owning Program finalizes
         if self.guard_reads_lhs and self.lhs not in self.reads:
@@ -85,8 +89,12 @@ class Statement:
         )
 
     def execute(self, arrays: Mapping[str, "np.ndarray"], env: Mapping[str, int]):
-        values = [arrays[a.array.name][a.evaluate(env)] for a in self.reads]
-        arrays[self.lhs.array.name][self.lhs.evaluate(env)] = self.fn(values, env)
+        run = self._compiled
+        if run is None:
+            from .compiled import compile_statement  # cycle: lazy
+
+            run = self._compiled = compile_statement(self)
+        run(arrays, env, self.fn)
 
     def __str__(self) -> str:
         if self.text:
@@ -103,10 +111,12 @@ class Statement:
     # -- pickling ---------------------------------------------------------
     # ``fn`` is a closure; the AST recipe in ``fn_spec`` stands in for it
     # on the wire and is recompiled on load.  A probed ``vector_fn``
-    # callable is likewise dropped (the runtime re-probes lazily).
+    # callable is likewise dropped (the runtime re-probes lazily), and
+    # so is the compiled ``execute`` function (rebuilt on first call).
 
     def __getstate__(self):
         state = self.__dict__.copy()
+        state.pop("_compiled", None)
         if state.get("fn_spec") is not None:
             state["fn"] = None
         if callable(state.get("vector_fn")):

@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from ..decomp import DataDecomp
-from ..ir import Program, live_out_writes, run
+from ..ir import Program, run
 from .checkpoint import CheckpointPolicy
 from .faults import FaultPlan
 from .machine import CostModel, Machine, RunResult
@@ -112,7 +112,8 @@ def check_against_sequential(
     network.
     """
     program: Program = spmd.program
-    expected = run(program, params, seed=seed)
+    writers: dict = {}
+    expected = run(program, params, seed=seed, writers=writers)
     result = run_spmd(
         spmd,
         params,
@@ -131,11 +132,11 @@ def check_against_sequential(
         recovery=recovery,
         log_bytes_cap=log_bytes_cap,
     )
-    writers = live_out_writes(program, params)
     space = spmd.space
-    mismatches = []
+    stmts = {stmt.name: stmt for stmt in program.statements()}
+    # every (location, owner) pair in live-out order, compared at once
+    checked = []
     for (array_name, location), write in writers.items():
-        want = expected[array_name][location]
         if final_data and array_name in final_data:
             decomp = final_data[array_name]
             owners = [
@@ -143,17 +144,21 @@ def check_against_sequential(
                 for o in decomp.owners(location, params)
             ]
         else:
-            stmt = program.statement(write.stmt)
             env = dict(params)
-            env.update(zip(stmt.iter_vars, write.iteration))
+            env.update(zip(stmts[write.stmt].iter_vars, write.iteration))
             virtual = comps[write.stmt].owner(env)
             owners = [space.to_physical(virtual, params)]
+        want = expected[array_name][location]
         for owner in owners:
             got = result.arrays[tuple(owner)][array_name][location]
-            if not np.isclose(got, want, rtol=rtol, equal_nan=False):
-                mismatches.append(
-                    (array_name, location, tuple(owner), want, got)
-                )
+            checked.append((array_name, location, tuple(owner), want, got))
+    close = np.isclose(
+        np.array([c[4] for c in checked]),
+        np.array([c[3] for c in checked]),
+        rtol=rtol,
+        equal_nan=False,
+    )
+    mismatches = [c for c, ok in zip(checked, close) if not ok]
     if mismatches:
         sample = mismatches[:10]
         raise AssertionError(
