@@ -28,6 +28,7 @@ from ..polyhedra import (
     MinE,
     ModE,
 )
+from ..polyhedra.stats import current_context
 
 # -- conditions ---------------------------------------------------------------
 
@@ -230,23 +231,9 @@ class CComment(CNode):
     text: str
 
 
-_BUF_IDS = itertools.count()
-
-
 def fresh_buffer() -> str:
-    return f"buf{next(_BUF_IDS)}"
-
-
-def reset_buffer_names() -> None:
-    """Restart buffer numbering (called per compile).
-
-    Buffer names only need to be unique within one generated node
-    program; restarting per compile makes generated source text a
-    deterministic function of the compile inputs, which the persistent
-    compile cache's bit-identity guarantee relies on.
-    """
-    global _BUF_IDS
-    _BUF_IDS = itertools.count()
+    """A message-buffer name unique within the current compile."""
+    return f"buf{current_context().fresh_id('buffer')}"
 
 
 # ---------------------------------------------------------------------------

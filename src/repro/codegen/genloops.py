@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..polyhedra import ScanLoop, ScanResult
-from ..polyhedra.stats import STATS
+from ..polyhedra.stats import current_context
 from .cast import (
     CAssign,
     CBlock,
@@ -41,7 +41,7 @@ def guards_from_system(system) -> List[Cond]:
         conds.append(CondEQ(eq))
     for ineq in system.inequalities:
         conds.append(CondGE(ineq))
-    STATS.codegen_guards_emitted += len(conds)
+    current_context().stats.codegen_guards_emitted += len(conds)
     return conds
 
 
@@ -68,7 +68,7 @@ def _wrap_level(
     inner: CNode,
     virt_dims: Dict[str, Tuple[int, int]],
 ) -> CNode:
-    STATS.codegen_loops_emitted += 1
+    current_context().stats.codegen_loops_emitted += 1
     inner_block = inner if isinstance(inner, CBlock) else CBlock([inner])
     if loop.var in virt_dims:
         # A virtual-processor level must check residence even when it

@@ -49,6 +49,7 @@ from ..polyhedra import (
     eliminate_many,
     scan,
 )
+from ..polyhedra.stats import CompileContext
 from .cast import (
     CBlock,
     CCollectDest,
@@ -545,13 +546,6 @@ def _carried_fragments(
     return send_frag, recv_frag
 
 
-def _tag_layout_note() -> str:
-    return (
-        "message tags: (label, virtual sender dims, sender outer "
-        "iteration, [virtual receiver dims])"
-    )
-
-
 def _preload_fragments(
     cs: CommSet,
     pvars: Tuple[str, ...],
@@ -828,26 +822,6 @@ def _build_master(
 # the driver
 # ---------------------------------------------------------------------------
 
-def _reset_fresh_name_counters() -> None:
-    """Make each compilation a deterministic function of its inputs.
-
-    Fresh names (FM/lexmax auxiliaries, uniform-family offsets, message
-    buffers) only need to be distinct within one compile; restarting
-    their counters at compile entry makes identical inputs produce
-    bit-identical artifacts and identical content-addressed cache keys
-    across repeats and across processes.
-    """
-    from ..core.group import reset_offset_names
-    from ..polyhedra.lexmax import reset_aux_names as _reset_lexmax
-    from ..polyhedra.omega import reset_aux_names as _reset_omega
-    from .cast import reset_buffer_names
-
-    reset_offset_names()
-    _reset_lexmax()
-    _reset_omega()
-    reset_buffer_names()
-
-
 def generate_spmd(
     program: Program,
     comps: Dict[str, CompDecomp],
@@ -864,10 +838,23 @@ def generate_spmd(
     arrays are assumed replicated (every processor already has them).
     ``final_data`` requests finalization (Section 4.4.3): live-out
     values are written back to their homes under the final layout after
-    the nest.
+    the nest.  Fresh names are numbered from zero in a compile context
+    of the call's own, so identical inputs give identical artifacts.
     """
-    options = options or SPMDOptions()
-    _reset_fresh_name_counters()
+    with CompileContext():
+        return _generate(
+            program, comps, initial_data, final_data,
+            options or SPMDOptions(),
+        )
+
+
+def _generate(
+    program: Program,
+    comps: Dict[str, CompDecomp],
+    initial_data: Optional[Dict[str, DataDecomp]],
+    final_data: Optional[Dict[str, DataDecomp]],
+    options: SPMDOptions,
+) -> SPMD:
     context = program.assumptions
     spaces = {id(c.space) for c in comps.values()}
     if len(spaces) != 1:

@@ -29,6 +29,7 @@ from ..polyhedra import (
     System,
     integer_feasible,
 )
+from ..polyhedra.stats import current_context
 
 SEND_SUFFIX = "$s"
 RECV_SUFFIX = "$r"
@@ -69,9 +70,7 @@ class CommSet:
     finalization: bool = False
 
     def __post_init__(self) -> None:
-        from ..polyhedra.stats import STATS
-
-        STATS.commsets_built += 1
+        current_context().stats.commsets_built += 1
 
     def all_vars(self) -> Tuple[str, ...]:
         return (
@@ -84,11 +83,9 @@ class CommSet:
         )
 
     def is_empty(self) -> bool:
-        from ..polyhedra.stats import STATS
-
         if integer_feasible(self.system):
             return False
-        STATS.commsets_empty_pruned += 1
+        current_context().stats.commsets_empty_pruned += 1
         return True
 
     def with_system(self, system: System, label: Optional[str] = None) -> "CommSet":

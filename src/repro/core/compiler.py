@@ -42,9 +42,9 @@ class CommReport:
 class CompileResult:
     spmd: "SPMD"
     compile_seconds: float
-    #: polyhedral-engine counter deltas for this compilation (see
-    #: :mod:`repro.polyhedra.stats`); ``stats.summary(result.poly_stats)``
-    #: renders them the way the CLI's ``--poly-stats`` flag does.
+    #: polyhedral-engine counters of exactly this call, cache lookups
+    #: included (see :mod:`repro.polyhedra.stats`); ``stats.summary(
+    #: result.poly_stats)`` renders them like the CLI's ``--poly-stats``.
     poly_stats: Dict[str, int] = field(default_factory=dict)
     #: artifact-format version this result serializes under (see
     #: :mod:`repro.core.serialize`); cached entries with a different
@@ -86,9 +86,8 @@ def compile_distributed(
 
     from . import serialize
 
-    with diskcache.using(cache_dir):
+    with diskcache.using(cache_dir), stats.CompileContext() as ctx:
         disk = diskcache.active()
-        before = stats.snapshot()
         start = time.perf_counter()
         key: Optional[str] = None
         if disk is not None:
@@ -106,21 +105,21 @@ def compile_distributed(
                     except serialize.SerializeError:
                         pass  # stale/corrupt artifact: fall through
                     else:
-                        stats.STATS.result_cache_hits += 1
+                        ctx.stats.result_cache_hits += 1
                         hit.compile_seconds = (
                             time.perf_counter() - start
                         )
-                        hit.poly_stats = stats.delta_since(before)
+                        hit.poly_stats = ctx.stats.snapshot()
                         hit.from_cache = True
                         return hit
-                stats.STATS.result_cache_misses += 1
+                ctx.stats.result_cache_misses += 1
         spmd = generate_spmd(
             program, comps, initial_data=initial_data, options=options
         )
         result = CompileResult(
             spmd,
             time.perf_counter() - start,
-            poly_stats=stats.delta_since(before),
+            poly_stats=ctx.stats.snapshot(),
             schema_version=serialize.SCHEMA_VERSION,
         )
         if disk is not None and key is not None:
@@ -130,6 +129,7 @@ def compile_distributed(
                 )
             except serialize.SerializeError:
                 pass  # opaque statement fns etc.: simply not cached
+            result.poly_stats = ctx.stats.snapshot()  # + the put's work
         return result
 
 

@@ -14,7 +14,6 @@ family with a single Last Write Tree (Figure 9), so that values shared
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -22,17 +21,9 @@ from ..dataflow import LastWriteTree, last_write_tree
 from ..decomp import CompDecomp
 from ..ir import Access, Program, Statement
 from ..polyhedra import LinExpr, System
+from ..polyhedra.stats import current_context
 from .commsets import CommSet, from_leaf
 from .redundancy import eliminate_self_reuse
-
-_OFFSET = itertools.count()
-
-
-def reset_offset_names() -> None:
-    """Restart offset-variable numbering (called per compile)."""
-    global _OFFSET
-    _OFFSET = itertools.count()
-
 
 @dataclass
 class UniformFamily:
@@ -96,7 +87,7 @@ def _build_family(stmt: Statement, members: Tuple[int, ...]) -> UniformFamily:
         if lo == hi:
             indices.append(base.indices[k] + lo)
             continue
-        u = f"u{next(_OFFSET)}"
+        u = f"u{current_context().fresh_id('offset')}"
         offset_vars.append(u)
         # hull member = base + offset, offset in [lo, hi]
         indices.append(base.indices[k] + LinExpr.var(u))

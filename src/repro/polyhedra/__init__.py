@@ -26,6 +26,7 @@ from .bexpr import (
 from . import diskcache
 from . import stats
 from .fourier_motzkin import (
+    LRUMemo,
     VarBounds,
     eliminate,
     eliminate_exact_flag,
@@ -79,6 +80,7 @@ __all__ = [
     "EmptyPolyhedronError",
     "FloorDiv",
     "InfeasibleError",
+    "LRUMemo",
     "LexMaxUnsupportedError",
     "LexPiece",
     "Lin",

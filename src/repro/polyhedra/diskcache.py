@@ -46,7 +46,7 @@ import tempfile
 from hashlib import blake2b
 from typing import Dict, Optional, Tuple
 
-from .stats import STATS
+from .stats import STATS, current_context
 
 #: bump to invalidate every existing cache entry (part of the
 #: fingerprint below, alongside the artifact schema version).
@@ -123,17 +123,17 @@ class DiskCache:
             with open(target, "rb") as fh:
                 raw = fh.read()
         except OSError:
-            STATS.disk_cache_misses += 1
+            current_context().stats.disk_cache_misses += 1
             return None
         payload = self._decode(raw, kind)
         if payload is None:
-            STATS.disk_cache_misses += 1
+            current_context().stats.disk_cache_misses += 1
             try:  # corrupt or stale entry: degrade to a miss, drop it
                 os.unlink(target)
             except OSError:
                 pass
             return None
-        STATS.disk_cache_hits += 1
+        current_context().stats.disk_cache_hits += 1
         try:  # LRU touch; best-effort (another process may have evicted)
             os.utime(target)
         except OSError:
@@ -234,7 +234,7 @@ class DiskCache:
             except OSError:
                 continue
             total -= size
-            STATS.disk_cache_evictions += 1
+            current_context().stats.disk_cache_evictions += 1
 
     def gc(self) -> Dict[str, int]:
         """Enforce the byte cap now; returns post-gc stats."""

@@ -26,6 +26,7 @@ All three are exactly semantics-preserving; counters in
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from . import simplify as _simplify_mod
 from .affine import LinExpr
 from .simplify import NONE, SUBSUME, simplify
-from .stats import STATS
+from .stats import STATS, current_context
 from .system import InfeasibleError, System
 
 
@@ -131,44 +132,51 @@ def _filter_dominated(
 # the projection cache
 # ---------------------------------------------------------------------------
 
-class ProjectionCache:
-    """LRU memo for single-variable projections.
+class LRUMemo:
+    """A bounded LRU map, safe under concurrent use (``maxsize`` 0
+    disables it); compiles on all threads share its entries."""
 
-    Keys are ``(canonical system key, variable, prune level)``; values
-    are immutable snapshots -- ``get`` returns a fresh copy so callers
-    may mutate their result freely.  ``clear()`` drops everything (the
-    cache holds no references into live systems, so invalidation is
-    only ever about memory, never about correctness).
-    """
-
-    def __init__(self, maxsize: int = 4096):
+    def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._data: "OrderedDict[Tuple, System]" = OrderedDict()
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
-    def get(self, key: Tuple) -> Optional[System]:
-        hit = self._data.get(key)
-        if hit is None:
-            STATS.projection_cache_misses += 1
-            return None
-        self._data.move_to_end(key)
-        STATS.projection_cache_hits += 1
-        return hit.copy()
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
 
-    def put(self, key: Tuple, value: System) -> None:
-        self._data[key] = value.copy()
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            STATS.projection_cache_evictions += 1
+    def put(self, key, value) -> int:
+        """Store ``value``; returns how many old entries were evicted."""
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            evicted = max(0, len(self._data) - self.maxsize)
+            for _ in range(evicted):
+                self._data.popitem(last=False)
+        return evicted
+
+    def resize(self, maxsize: int) -> int:
+        """Empty the memo and set a new bound; returns the old one."""
+        with self._lock:
+            previous, self.maxsize = self.maxsize, maxsize
+            self._data.clear()
+        return previous
 
     def clear(self) -> None:
-        self._data.clear()
+        with self._lock:
+            self._data.clear()
 
     def __len__(self) -> int:
         return len(self._data)
 
 
-_PROJECTION_CACHE = ProjectionCache()
+#: single-variable projections, keyed ``(canonical system key, variable,
+#: prune level)``; entries are private snapshots, copied in and out so
+#: callers may mutate their results freely
+_PROJECTION_CACHE = LRUMemo(maxsize=4096)
 
 
 def projection_cache_clear() -> None:
@@ -188,8 +196,7 @@ def projection_cache_info() -> Dict[str, int]:
 
 def set_projection_cache_size(maxsize: int) -> None:
     """Resize (and clear) the projection cache; 0 disables it."""
-    global _PROJECTION_CACHE
-    _PROJECTION_CACHE = ProjectionCache(maxsize=max(0, maxsize))
+    _PROJECTION_CACHE.resize(max(0, maxsize))
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +209,15 @@ def _combine(
     """Cross-multiply lower and upper bounds into ``bounds.rest``."""
     lowers, uppers = bounds.lowers, bounds.uppers
     considered = len(lowers) * len(uppers)
-    STATS.eliminations += 1
-    STATS.pairs_considered += considered
+    stats = current_context().stats
+    stats.eliminations += 1
+    stats.pairs_considered += considered
     if prune >= SUBSUME:
         lowers = _filter_dominated(lowers, is_lower=True)
         uppers = _filter_dominated(uppers, is_lower=False)
     materialized = len(lowers) * len(uppers)
-    STATS.pairs_filtered += considered - materialized
-    STATS.pairs_materialized += materialized
+    stats.pairs_filtered += considered - materialized
+    stats.pairs_materialized += materialized
 
     out = bounds.rest
     exact = True
@@ -221,7 +229,7 @@ def _combine(
                 exact = False
     if prune > NONE:
         out = simplify(out, level=min(prune, SUBSUME))
-    STATS.observe_system_size(out.size())
+    stats.observe_system_size(out.size())
     return out, exact
 
 
@@ -245,17 +253,22 @@ def eliminate(
     if prune is None:
         prune = _simplify_mod.DEFAULT_LEVEL
     key = (system.canonical_key(), name, prune)
+    stats = current_context().stats
     cached = _PROJECTION_CACHE.get(key)
     if cached is not None:
-        return cached
+        stats.projection_cache_hits += 1
+        return cached.copy()
+    stats.projection_cache_misses += 1
     disk = _diskcache().active()
     if disk is not None:
         found, hit = disk.get_object("fm", repr(key))
         if found and isinstance(hit, System):
-            _PROJECTION_CACHE.put(key, hit)
+            stats.projection_cache_evictions += _PROJECTION_CACHE.put(
+                key, hit.copy()
+            )
             return hit
     out, _ = _combine(extract_bounds(system, name), prune, track_exact=False)
-    _PROJECTION_CACHE.put(key, out)
+    stats.projection_cache_evictions += _PROJECTION_CACHE.put(key, out.copy())
     if disk is not None:
         disk.put_object("fm", repr(key), out)
     return out

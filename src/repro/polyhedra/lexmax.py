@@ -20,22 +20,14 @@ genuine conditions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import LinExpr
 from .fourier_motzkin import eliminate_exact_flag, extract_bounds
 from .omega import integer_feasible
+from .stats import current_context
 from .system import InfeasibleError, System
-
-_AUX = itertools.count()
-
-
-def reset_aux_names() -> None:
-    """Restart fresh-variable numbering (see omega.reset_aux_names)."""
-    global _AUX
-    _AUX = itertools.count()
 
 
 class LexMaxUnsupportedError(Exception):
@@ -183,7 +175,7 @@ def _parametric_lexopt(
                 if b == 1:
                     value: LinExpr = g
                 else:
-                    q = f"$q{next(_AUX)}"
+                    q = f"$q{current_context().fresh_id('lexmax')}"
                     value = LinExpr.var(q)
                     if maximize:
                         # q = floor(g/b):  b*q <= g <= b*q + b - 1

@@ -19,15 +19,13 @@ negation has no integer solution.
 
 from __future__ import annotations
 
-import itertools
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .affine import LinExpr
 from . import simplify as _simplify_mod
-from .fourier_motzkin import extract_bounds
+from .fourier_motzkin import LRUMemo, extract_bounds
 from .simplify import SUBSUME, simplify
-from .stats import STATS
+from .stats import current_context
 from .system import InfeasibleError, System
 
 
@@ -35,25 +33,9 @@ class OmegaDepthError(Exception):
     """Raised when the feasibility search exceeds its recursion budget."""
 
 
-_AUX_COUNTER = itertools.count()
-
-
 def _fresh_aux(prefix: str = "omega") -> str:
-    return f"${prefix}{next(_AUX_COUNTER)}"
-
-
-def reset_aux_names() -> None:
-    """Restart auxiliary-variable numbering (called per compile).
-
-    Fresh names only need to be distinct *within* one compilation;
-    restarting the counter makes a compile a deterministic function of
-    its inputs, so identical compiles produce identical cache keys
-    across processes (the disk cache depends on this).  Content-based
-    cache keys make reuse of a number harmless: two systems share a key
-    only when their whole constraint sets match.
-    """
-    global _AUX_COUNTER
-    _AUX_COUNTER = itertools.count()
+    # every prefix shares the one "omega" numbering
+    return f"${prefix}{current_context().fresh_id('omega')}"
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +132,7 @@ def _floor_div(a: int, b: int) -> int:
 #: memo for integer_feasible, keyed on (canonical system key, max_depth).
 #: Feasibility is a pure function of the constraint set, so the memo is
 #: never invalidated -- the LRU bound only limits memory.
-_FEASIBILITY_MEMO: "OrderedDict[Tuple, bool]" = OrderedDict()
-_FEASIBILITY_MEMO_MAXSIZE = 8192
+_FEASIBILITY_MEMO = LRUMemo(maxsize=8192)
 
 
 def feasibility_cache_clear() -> None:
@@ -160,17 +141,12 @@ def feasibility_cache_clear() -> None:
 
 
 def set_feasibility_memo_size(maxsize: int) -> int:
-    """Resize the feasibility memo (0 disables); returns the old size.
+    """Resize and clear the memo (0 disables it); returns the old size.
 
     Mirrors ``fourier_motzkin.set_projection_cache_size`` so ablation
     benchmarks can switch the whole cache layer off.
     """
-    global _FEASIBILITY_MEMO_MAXSIZE
-    previous = _FEASIBILITY_MEMO_MAXSIZE
-    _FEASIBILITY_MEMO_MAXSIZE = maxsize
-    while len(_FEASIBILITY_MEMO) > maxsize:
-        _FEASIBILITY_MEMO.popitem(last=False)
-    return previous
+    return _FEASIBILITY_MEMO.resize(maxsize)
 
 
 def integer_feasible(system: System, max_depth: int = 60) -> bool:
@@ -183,12 +159,12 @@ def integer_feasible(system: System, max_depth: int = 60) -> bool:
     a caller with a larger budget must be able to retry.
     """
     key = (system.canonical_key(), max_depth)
+    stats = current_context().stats
     hit = _FEASIBILITY_MEMO.get(key)
     if hit is not None:
-        _FEASIBILITY_MEMO.move_to_end(key)
-        STATS.feasibility_cache_hits += 1
+        stats.feasibility_cache_hits += 1
         return hit
-    STATS.feasibility_cache_misses += 1
+    stats.feasibility_cache_misses += 1
     from . import diskcache  # deferred: diskcache imports stats
 
     disk = diskcache.active()
@@ -208,9 +184,7 @@ def integer_feasible(system: System, max_depth: int = 60) -> bool:
             disk.put_bytes(
                 "feas", repr(key), b"\x01" if verdict else b"\x00"
             )
-    _FEASIBILITY_MEMO[key] = verdict
-    while len(_FEASIBILITY_MEMO) > _FEASIBILITY_MEMO_MAXSIZE:
-        _FEASIBILITY_MEMO.popitem(last=False)
+    _FEASIBILITY_MEMO.put(key, verdict)
     return verdict
 
 
@@ -315,9 +289,10 @@ def _shadows(bounds) -> Tuple[Optional[System], Optional[System], bool]:
     dark: Optional[System] = bounds.rest.copy()
     exact = True
     pairs = len(bounds.lowers) * len(bounds.uppers)
-    STATS.eliminations += 1
-    STATS.pairs_considered += pairs
-    STATS.pairs_materialized += pairs
+    stats = current_context().stats
+    stats.eliminations += 1
+    stats.pairs_considered += pairs
+    stats.pairs_materialized += pairs
     for a, f in bounds.lowers:
         for b, g in bounds.uppers:
             combined = g * a - f * b
@@ -334,7 +309,7 @@ def _shadows(bounds) -> Tuple[Optional[System], Optional[System], bool]:
             if a != 1 and b != 1:
                 exact = False
     if real is not None:
-        STATS.observe_system_size(real.size())
+        stats.observe_system_size(real.size())
     return real, dark, exact
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .affine import LinExpr
-from .stats import STATS
+from .stats import current_context
 from .system import InfeasibleError, System
 
 #: pruning levels
@@ -72,6 +72,7 @@ def subsume_inequalities(exprs: List[LinExpr],
     """
     from .system import canonical_equality  # cycle-free runtime import
 
+    stats = current_context().stats
     eq_consts: Dict[Tuple, int] = {}
     for eq in equalities:
         canon = canonical_equality(eq)
@@ -91,14 +92,14 @@ def subsume_inequalities(exprs: List[LinExpr],
                 raise InfeasibleError(
                     f"{expr} >= 0 contradicts an equality of the system"
                 )
-            STATS.subsumed_dropped += 1
+            stats.subsumed_dropped += 1
             continue
         slot = best.get(vec)
         if slot is None:
             best[vec] = len(alive)
             alive.append(expr)
             continue
-        STATS.subsumed_dropped += 1
+        stats.subsumed_dropped += 1
         if k < alive[slot].const:
             # the newcomer is tighter: it survives *at its own position*
             # (exactly the constraint downstream bound-pruning would
@@ -134,7 +135,7 @@ def semantic_prune(system: System) -> System:
             redundant = True
         if redundant:
             kept.pop(idx)
-            STATS.semantic_dropped += 1
+            current_context().stats.semantic_dropped += 1
         idx -= 1
     out = System()
     out.equalities = list(system.equalities)
@@ -148,7 +149,7 @@ def simplify(system: System, level: int = DEFAULT_LEVEL) -> System:
     Exact over the integers at every level; raises InfeasibleError if
     pruning exposes a syntactic contradiction.
     """
-    STATS.simplify_calls += 1
+    current_context().stats.simplify_calls += 1
     if level <= NONE:
         return system
     pruned = subsume_inequalities(system.inequalities, system.equalities)

@@ -1,22 +1,31 @@
-"""Engine observability: counters for the polyhedral hot path.
+"""Per-compile state: engine counters and fresh-name numbering.
 
 Fourier-Motzkin projection is the hot path of the whole compiler (the
 paper's Section 5.1 warns that naive FM floods the system with mostly
 redundant constraints), so every benchmark should be able to report
-*why* compile time moved.  This module keeps one process-wide set of
-counters, incremented by :mod:`repro.polyhedra.fourier_motzkin`,
-:mod:`repro.polyhedra.omega`, :mod:`repro.polyhedra.simplify`,
-:mod:`repro.polyhedra.symbolic` and :mod:`repro.codegen.genloops`.
+*why* compile time moved: :class:`PolyStats` counts the engine's work.
+The compiler also invents names (Omega auxiliaries, lexmax quotients,
+uniform-family offsets, message buffers) that need only be distinct
+within one compile; numbering them from zero per compile makes every
+artifact a function of the compile's inputs.
 
-``compile_distributed`` snapshots the counters around a compilation and
-exposes the per-compile delta on ``CompileResult.poly_stats``; the CLI
-prints the same numbers under ``--poly-stats``.
+Both live in one :class:`CompileContext`, carried in a ``ContextVar``
+like :mod:`repro.polyhedra.diskcache`'s active store, so compiles on
+different threads share neither.  ``compile_distributed`` reports its
+context's counters as ``CompileResult.poly_stats``; ``generate_spmd``
+opens a nested one, so its names start from zero.  On exit a context
+adds its counters into the one it replaced.  Outside any compile that is
+the process default, whose counters *are* :data:`STATS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict
+import contextvars
+import itertools
+import threading
+from collections import defaultdict
+from dataclasses import dataclass, fields
+from typing import Dict, Iterator
 
 
 @dataclass
@@ -71,6 +80,14 @@ class PolyStats:
         if size > self.peak_system_size:
             self.peak_system_size = size
 
+    def add(self, other: "PolyStats") -> None:
+        """Fold ``other`` in: counters add, ``peak_system_size`` maxes."""
+        peak = max(self.peak_system_size, other.peak_system_size)
+        for f in fields(self):
+            total = getattr(self, f.name) + getattr(other, f.name)
+            setattr(self, f.name, total)
+        self.peak_system_size = peak
+
     def reset(self) -> None:
         for f in fields(self):
             setattr(self, f.name, 0)
@@ -94,8 +111,44 @@ class PolyStats:
         return out
 
 
-#: the process-wide counter set
+#: the process-wide counter set: every compile's counters end up here
 STATS = PolyStats()
+
+
+class CompileContext:
+    """Fresh-name counters and engine counters of one compile; ``with
+    CompileContext() as ctx:`` makes ``ctx`` current for the block."""
+
+    __slots__ = ("stats", "_ids", "_token")
+
+    def __init__(self, stats: "PolyStats | None" = None):
+        self.stats = PolyStats() if stats is None else stats
+        # one counter per name family, created on first use
+        self._ids: Dict[str, Iterator[int]] = defaultdict(itertools.count)
+        self._token = None
+
+    def fresh_id(self, family: str) -> int:
+        """The next number (0, 1, ...) in one family of fresh names."""
+        return next(self._ids[family])
+
+    def __enter__(self) -> "CompileContext":
+        self._token = _CURRENT.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _CURRENT.reset(self._token)
+        # the default context's STATS is shared by every thread
+        with _FOLD_LOCK:
+            _CURRENT.get().stats.add(self.stats)
+
+
+_CURRENT: contextvars.ContextVar[CompileContext] = contextvars.ContextVar(
+    "repro_compile_context", default=CompileContext(STATS)
+)
+_FOLD_LOCK = threading.Lock()
+
+#: ``current_context()``: the compile context of the running code
+current_context = _CURRENT.get
 
 
 def reset() -> None:

@@ -72,9 +72,6 @@ class SymCoef:
             return False
         return self.const > 0 or any(c > 0 for _n, c in self.terms)
 
-    def is_nonnegative(self) -> bool:
-        return self.const >= 0 and all(c >= 0 for _n, c in self.terms)
-
     def __add__(self, other: "SymCoef") -> "SymCoef":
         other = SymCoef.of(other)
         merged = dict(self.terms)
@@ -180,9 +177,6 @@ class SymSystem:
     def add(self, expr: SymExpr) -> None:
         self.inequalities.append(expr)
 
-    def add_ge(self, lhs: SymExpr, rhs: SymExpr) -> None:
-        self.add(lhs + rhs.negate())
-
     def bounds_on(
         self, var: str
     ) -> Tuple[List[Tuple[SymCoef, SymExpr]], List[Tuple[SymCoef, SymExpr]],
@@ -221,10 +215,11 @@ class SymSystem:
         Raises SymbolicUnsupportedError when a combination's
         coefficients leave the linear class (the paper's scope limit).
         """
-        from .stats import STATS
+        from .stats import current_context
 
+        stats = current_context().stats
         lowers, uppers, rest = self.bounds_on(var)
-        STATS.symbolic_pairs_considered += len(lowers) * len(uppers)
+        stats.symbolic_pairs_considered += len(lowers) * len(uppers)
         out = SymSystem(list(rest))
         seen = set(out.inequalities)
         for a, f in lowers:
@@ -234,7 +229,7 @@ class SymSystem:
                 if combined in seen:
                     continue
                 seen.add(combined)
-                STATS.symbolic_pairs_materialized += 1
+                stats.symbolic_pairs_materialized += 1
                 out.add(combined)
         return out
 

@@ -60,6 +60,17 @@ class System:
         for ineq in inequalities:
             self.add_inequality(ineq)
 
+    # the cached canonical form stays out of pickles, so a system's
+    # bytes never depend on whether canonical_key() ran
+    def __getstate__(self):
+        return None, {"equalities": self.equalities,
+                      "inequalities": self.inequalities}
+
+    def __setstate__(self, state) -> None:
+        self.equalities = state[1]["equalities"]
+        self.inequalities = state[1]["inequalities"]
+        self._canon = None
+
     # -- construction -----------------------------------------------------
 
     def copy(self) -> "System":

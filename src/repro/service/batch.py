@@ -51,9 +51,9 @@ class BatchResult:
     """Results of one ``compile_many`` call, in job order."""
 
     results: List[_compiler.CompileResult]
-    #: element-wise sum of every job's per-compile poly_stats delta
-    #: (workers count independently; the merge makes the batch look like
-    #: one sequential run to ``stats.summary``).
+    #: every job's poly_stats folded together (workers count
+    #: independently; the merge makes the batch look like one
+    #: sequential run to ``stats.summary``).
     poly_stats: Dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
     workers: int = 1
@@ -69,12 +69,12 @@ class BatchResult:
 
 
 def merge_poly_stats(deltas: Sequence[Dict[str, int]]) -> Dict[str, int]:
-    """Sum per-compile counter deltas into one batch-wide delta."""
-    merged: Dict[str, int] = {}
+    """Fold per-compile counters into one batch-wide set, the way a
+    compile context folds into its parent (peak system size: the max)."""
+    merged = stats.PolyStats()
     for delta in deltas:
-        for name, value in delta.items():
-            merged[name] = merged.get(name, 0) + value
-    return merged
+        merged.add(stats.PolyStats(**delta))
+    return merged.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import json
 import socketserver
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import fields as dc_fields
 from typing import Dict, List, Optional
 
@@ -41,7 +41,7 @@ from ..codegen import SPMDOptions
 from ..core import compiler as _compiler
 from ..decomp import block_loop
 from ..lang import parse
-from ..polyhedra import diskcache
+from ..polyhedra import LRUMemo, diskcache
 
 
 def comps_from_blocks(program, blocks: Dict[str, int]):
@@ -104,14 +104,7 @@ class CompileServer:
             if cache_dir is not None else None
         )
         self._lock = threading.Lock()
-        # one compile at a time: generate_spmd resets process-global
-        # fresh-name counters at entry, so two compiles interleaving in
-        # the threaded TCP transport could hand out duplicate "fresh"
-        # names and publish a corrupt artifact into the persistent
-        # cache.  Serializing compiles keeps every artifact
-        # bit-identical to a sequential compile of the same request.
-        self._compile_lock = threading.Lock()
-        self._parse_memo: "OrderedDict[tuple, object]" = OrderedDict()
+        self._parse_memo = LRUMemo(PARSE_MEMO_SIZE)
         self.requests = 0
         self.errors = 0
         self.cache_hits = 0
@@ -161,17 +154,10 @@ class CompileServer:
 
     def _parse(self, source: str, name: str):
         key = (source, name)
-        with self._lock:
-            program = self._parse_memo.get(key)
-            if program is not None:
-                self._parse_memo.move_to_end(key)  # LRU touch
+        program = self._parse_memo.get(key)
         if program is None:
             program = parse(source, name=name)
-            with self._lock:
-                self._parse_memo[key] = program
-                self._parse_memo.move_to_end(key)
-                while len(self._parse_memo) > PARSE_MEMO_SIZE:
-                    self._parse_memo.popitem(last=False)
+            self._parse_memo.put(key, program)
         return program
 
     def _compile(self, obj: Dict) -> Dict:
@@ -182,10 +168,8 @@ class CompileServer:
         comps = comps_from_blocks(program, obj.get("blocks") or {})
         options = options_from_dict(obj.get("options"))
         # scoped activation: the server's store serves this request
-        # without repointing other contexts.  The compile lock
-        # serializes compile_distributed across connection threads --
-        # see __init__ -- while cheap ops (ping, stats) stay unblocked.
-        with self._compile_lock, diskcache.activated(self.disk):
+        # without repointing other threads' contexts
+        with diskcache.activated(self.disk):
             result = _compiler.compile_distributed(
                 program, comps, options=options
             )
@@ -276,9 +260,10 @@ class _Handler(socketserver.StreamRequestHandler):
 
 class TCPCompileServer(socketserver.ThreadingTCPServer):
     """One thread per connection; all share one CompileServer (and so
-    one set of warm caches).  Compiles themselves are serialized by the
-    CompileServer's compile lock; concurrency buys pipelining of
-    parse/IO against compute, not parallel codegen."""
+    one set of warm caches).  Connections compile concurrently: each
+    compile runs in its own compile context (fresh names, counters),
+    and the shared memos are thread-safe, so a warm hit never waits
+    behind another connection's cold compile."""
 
     allow_reuse_address = True
     daemon_threads = True

@@ -69,6 +69,15 @@ class TestRoundTrip:
         assert clone.poly_stats == result.poly_stats
         assert clone.compile_seconds == result.compile_seconds
 
+    def test_dump_does_not_depend_on_call_history(self):
+        """Systems pickle without their lazily cached canonical form, so
+        computing ``canonical_bytes`` first cannot change the dump."""
+        _, _, result = _compiled(FIG8, block=8)
+        before = dump_result(result)
+        canon = canonical_bytes(result)
+        assert dump_result(result) == before
+        assert canonical_bytes(load_result(before)) == canon
+
     def test_reloaded_node_program_executes(self):
         """The node function is rebuilt from source; the rebuilt
         program must still validate against sequential execution."""

@@ -7,11 +7,14 @@ systems it touches, cross-checked against brute-force enumeration with
 """
 
 import itertools
+import sys
+import threading
 
 import pytest
 
 from repro.polyhedra import (
     InfeasibleError,
+    LRUMemo,
     LinExpr,
     NONE,
     SEMANTIC,
@@ -25,6 +28,7 @@ from repro.polyhedra import (
     projection_cache_clear,
     projection_cache_info,
     set_feasibility_memo_size,
+    set_projection_cache_size,
     simplify,
     stats,
     var,
@@ -191,6 +195,59 @@ class TestFeasibilityMemo:
             assert delta["feasibility_cache_hits"] == 0
         finally:
             set_feasibility_memo_size(saved)
+
+
+class TestLRUMemo:
+    def test_eviction_and_resize(self):
+        memo = LRUMemo(maxsize=2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # touch: "b" is now the oldest
+        assert memo.put("c", 3) == 1
+        assert memo.get("b") is None and memo.get("c") == 3
+        assert memo.resize(0) == 2
+        assert len(memo) == 0
+
+    def test_concurrent_projections_through_a_tiny_memo(self):
+        """Eight threads project through a size-2 projection cache,
+        switching threads as often as the interpreter allows: no thread
+        sees an exception from a racing eviction and every result (hit
+        or miss) is the stored projection."""
+        systems = []
+        for k in range(3):
+            s = triangle()
+            s.add_inequality(var("y") - 2 - k)     # y >= 2 + k
+            systems.append(s)
+        expected = [eliminate(s, "x").canonical_key() for s in systems]
+        errors, wrong = [], []
+
+        def worker(seed):
+            try:
+                for i in range(1500):
+                    k = (seed + i) % len(systems)
+                    got = eliminate(systems[k], "x").canonical_key()
+                    if got != expected[k]:
+                        wrong.append(k)
+            except Exception as exc:
+                errors.append(exc)
+
+        saved_size = projection_cache_info()["maxsize"]
+        saved_interval = sys.getswitchinterval()
+        set_projection_cache_size(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(saved_interval)
+            set_projection_cache_size(saved_size)
+        assert not errors
+        assert not wrong
+        assert projection_cache_info()["size"] == 0
 
 
 class TestSystemDedup:

@@ -78,6 +78,9 @@ class TestStatsAndCache:
         )
         assert batch.poly_stats.get("eliminations", 0) == total
         assert total > 0
+        assert batch.poly_stats["peak_system_size"] == max(
+            r.poly_stats["peak_system_size"] for r in batch
+        )
 
     def test_pool_warms_shared_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

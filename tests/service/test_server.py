@@ -117,20 +117,30 @@ class TestRequests:
 
 class TestConcurrency:
     """The threaded TCP transport shares one CompileServer across
-    connection threads; compiles must serialize (fresh-name counters
-    are process-global) and per-request cache activation must never
-    leak across threads.  These hammer handle_request from many
+    connection threads, and they compile concurrently: each compile
+    has its own compile context (fresh names, counters) and the shared
+    memos are thread-safe.  These hammer handle_request from many
     threads -- exactly what _Handler does -- and assert every artifact
-    is bit-identical to its sequential compile."""
+    is bit-identical to its sequential compile and that per-request
+    cache activation never leaks across threads."""
 
-    BLOCKS = (8, 16, 32)
+    #: distinct catalog programs: (name, blocked loop, block size)
+    JOBS = (("fig2", "i", 16), ("fig8", "i", 8), ("stencil", "i", 16),
+            ("lu", "i2", 16), ("fig2", "i", 32))
+
+    @staticmethod
+    def _request(name, loop, block):
+        return {"program": WORKLOADS[name].source, "name": name,
+                "blocks": {loop: block}}
 
     def _expected(self):
         expected = {}
-        for b in self.BLOCKS:
-            program = parse(FIG2, name="<request>")
-            comps = comps_from_blocks(program, {"i": b})
-            expected[b] = compile_distributed(program, comps).c_text
+        for name, loop, block in self.JOBS:
+            program = parse(WORKLOADS[name].source, name=name)
+            comps = comps_from_blocks(program, {loop: block})
+            expected[name, block] = compile_distributed(
+                program, comps
+            ).c_text
         return expected
 
     def test_concurrent_compiles_are_bit_identical(self, tmp_path):
@@ -141,12 +151,13 @@ class TestConcurrency:
 
         def client(tid):
             try:
-                for b in self.BLOCKS:
+                for k in range(len(self.JOBS)):
+                    name, loop, block = self.JOBS[(tid + k) % len(self.JOBS)]
                     resp = server.handle_request(
-                        _compile_req(blocks={"i": b})
+                        self._request(name, loop, block)
                     )
                     assert resp["ok"], resp
-                    results[(tid, b)] = resp["code"]
+                    results[(tid, name, block)] = resp["code"]
             except Exception as exc:  # pragma: no cover - failure path
                 failures.append(exc)
 
@@ -160,15 +171,55 @@ class TestConcurrency:
             t.join(timeout=300)
         assert not failures
         assert server.stats()["errors"] == 0
-        for (tid, b), code in results.items():
-            assert code == expected[b], (tid, b)
+        assert len(results) == 6 * len(self.JOBS)
+        for (tid, name, block), code in results.items():
+            assert code == expected[name, block], (tid, name, block)
         # the store was never poisoned: a fresh server on the same
         # cache dir serves the same artifacts as whole-result hits
         fresh = CompileServer(cache_dir=str(tmp_path / "cache"))
-        for b in self.BLOCKS:
-            resp = fresh.handle_request(_compile_req(blocks={"i": b}))
+        for name, loop, block in self.JOBS:
+            resp = fresh.handle_request(self._request(name, loop, block))
             assert resp["from_cache"] is True
-            assert resp["code"] == expected[b]
+            assert resp["code"] == expected[name, block]
+
+    def test_warm_hit_does_not_wait_for_a_cold_compile(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.codegen as codegen
+
+        server = CompileServer(cache_dir=str(tmp_path / "cache"))
+        warm = self._request("fig2", "i", 16)
+        assert server.handle_request(warm)["ok"]
+        entered, release = threading.Event(), threading.Event()
+        generate = codegen.generate_spmd
+
+        def held(*args, **kwargs):  # the miss parks inside codegen
+            entered.set()
+            release.wait(120)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(codegen, "generate_spmd", held)
+        replies = {}
+
+        def send(tag, request):
+            replies[tag] = server.handle_request(request)
+
+        miss = threading.Thread(
+            target=send, args=("miss", self._request("fig8", "i", 8))
+        )
+        miss.start()
+        try:
+            assert entered.wait(60)
+            hit = threading.Thread(target=send, args=("hit", warm))
+            hit.start()
+            hit.join(timeout=30)
+            assert not hit.is_alive(), "the hit waited for the miss"
+            assert miss.is_alive()
+            assert replies["hit"]["ok"] and replies["hit"]["from_cache"]
+        finally:
+            release.set()
+            miss.join(timeout=120)
+        assert replies["miss"]["ok"] and not replies["miss"]["from_cache"]
 
     def test_state_stays_bounded(self, monkeypatch):
         from repro.service import server as server_mod
