@@ -11,11 +11,12 @@ ways:
    `CrashReport` naming the dead processor, the op it died at, and
    every processor's last usable checkpoint;
 3. **crash + checkpoint/restart**: the same death, but the machine
-   rolls every processor back to its last snapshot, replays
-   deterministically (receives fed from the receive log, cross-cut
-   messages re-injected from the delivery log), and completes with
-   bit-identical arrays -- at a makespan that prices the lost work,
-   the restart penalty, and the snapshot reloads;
+   restarts only the dead processor from its last snapshot while the
+   others keep running, replays it deterministically (receives fed
+   from its receive log, lost messages re-served from the senders'
+   message logs), and completes with bit-identical arrays -- at a
+   makespan that prices the lost work, the restart penalty, and the
+   snapshot reload;
 4. **crash + recovery through a faulty network**: crashes, drops and
    duplicates at once; the reliable ARQ and the checkpoint subsystem
    compose.

@@ -14,6 +14,7 @@ of every statement in blocks across the processors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, List
 
@@ -32,37 +33,61 @@ from . import (
 from .codegen import SPMDOptions
 from .core import communication_report, compile_distributed
 from .dataflow import all_dependences
+from .lang import LexError, ParseError
 from .polyhedra import stats as poly_stats
 
 
+class _InputError(Exception):
+    """Bad command-line input: reported as one ``repro: error:`` line
+    and exit status 2, never as a traceback."""
+
+
 def _load(path: str):
-    with open(path) as fh:
-        return parse(fh.read(), name=path)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _InputError(
+            f"cannot read program {path!r}: {exc.strerror}"
+        ) from None
+    try:
+        return parse(text, name=path)
+    except (LexError, ParseError) as exc:
+        raise _InputError(f"{path}: {exc}") from None
+
+
+def _int_pair(item: str, flag: str, what: str) -> tuple:
+    """``NAME=INT`` from a repeatable flag, or an :class:`_InputError`."""
+    name, _, value = item.partition("=")
+    try:
+        return name, int(value)
+    except ValueError:
+        raise _InputError(
+            f"{flag} {item!r}: expected {what}=INTEGER"
+        ) from None
 
 
 def _parse_defs(defs: List[str]) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for item in defs or []:
-        name, _, value = item.partition("=")
-        out[name] = int(value)
-    return out
+    return dict(_int_pair(item, "-D", "NAME") for item in defs or [])
 
 
 def _build_comps(program, blocks: List[str]):
     """--block i=32 [j=8 ...]: block-distribute those loops everywhere."""
     specs = []
     for item in blocks or []:
-        name, _, size = item.partition("=")
-        specs.append((name, int(size)))
+        name, size = _int_pair(item, "--block", "VAR")
+        if size < 1:
+            raise _InputError(f"--block {item!r}: SIZE must be >= 1")
+        specs.append((name, size))
     if not specs:
-        raise SystemExit("--block LOOPVAR=SIZE is required for this command")
+        raise _InputError("--block LOOPVAR=SIZE is required for this command")
     comps = {}
     space = None
     for stmt in program.statements():
         vars_ = [v for v, _s in specs if v in stmt.iter_vars]
         sizes = [s for v, s in specs if v in stmt.iter_vars]
         if len(vars_) != len(specs):
-            raise SystemExit(
+            raise _InputError(
                 f"statement {stmt.name} lacks blocked loop(s) "
                 f"{[v for v, _ in specs]}"
             )
@@ -160,17 +185,26 @@ def _rate(text: str) -> float:
     return value
 
 
-def _nonneg_float(text: str) -> float:
-    """argparse type for a duration/amount flag: a float >= 0."""
+def _finite_float(text: str) -> float:
+    """A finite float: NaN or inf would silently disable a fault or
+    checkpoint knob, or push model clocks to inf."""
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _nonneg_float(text: str) -> float:
+    """argparse type for a duration/amount flag: a finite float >= 0."""
+    value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
 def _pos_float(text: str) -> float:
-    """argparse type for an interval flag: a float > 0."""
-    value = float(text)
+    """argparse type for an interval flag: a finite float > 0."""
+    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
@@ -201,11 +235,11 @@ def _crash_spec(text: str):
         )
     try:
         coords = tuple(int(c) for c in rank.split(","))
-        return coords, float(when)
-    except ValueError:
+        return coords, _nonneg_float(when)
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
-            f"expected RANK@TIME with integer rank and numeric time, "
-            f"got {text!r}"
+            f"expected RANK@TIME with integer rank and finite time "
+            f">= 0, got {text!r}"
         ) from None
 
 
@@ -291,12 +325,24 @@ def _build_checkpoint_policy(args) -> CheckpointPolicy | None:
 def cmd_run(args) -> int:
     program = _load(args.program)
     comps = _build_comps(program, args.block)
+    params = _parse_defs(args.define)
+    space = next(iter(comps.values())).space
+    needed = set(program.params)
+    for extent in space.vdims:
+        needed |= extent.numerator.variables()
+    for extent in space.pdims:
+        needed |= extent.variables()
+    missing = sorted(needed - set(params))
+    if missing:
+        raise _InputError(
+            f"missing parameter value(s) {', '.join(missing)}: give "
+            f"each with -D NAME=VALUE"
+        )
     options = SPMDOptions(
         vectorize=not args.no_vectorize,
         early_puts=args.early_puts,
     )
     spmd = generate_spmd(program, comps, options=options)
-    params = _parse_defs(args.define)
     plan = _build_fault_plan(args)
     policy = _build_checkpoint_policy(args)
     if plan is not None:
@@ -316,7 +362,6 @@ def cmd_run(args) -> int:
             checksums={"auto": None, "on": True, "off": False}[
                 args.checksums
             ],
-            recovery=args.recovery_mode,
             log_bytes_cap=args.log_bytes_cap,
         )
     except (CrashError, DeadlockError, TransportError) as exc:
@@ -360,7 +405,7 @@ def cmd_run(args) -> int:
     if result.crash_events or result.checkpoints:
         print(
             f"resilience: {len(result.crash_events)} crash(es), "
-            f"{result.restarts} {result.recovery_mode} restart(s), "
+            f"{result.restarts} restart(s), "
             f"{result.checkpoints} checkpoint(s) taken, "
             f"{result.recovery_time:.0f} time units spent recovering, "
             f"{result.work_wasted:.0f} time units of work discarded"
@@ -410,11 +455,6 @@ def cmd_chaos(args) -> int:
         print("NOT reproduced: the replay diverged from the recording")
         return 1
     workloads = list(dict.fromkeys(args.workload or sorted(chaos.WORKLOADS)))
-    recovery_modes = (
-        ("global", "local")
-        if args.recovery_mode == "both"
-        else (args.recovery_mode,)
-    )
     saved = _transport._VERIFY_DISABLED
     if args.inject_bug:
         _transport._VERIFY_DISABLED = True
@@ -426,7 +466,6 @@ def cmd_chaos(args) -> int:
             targeted=not args.no_targeted,
             vectorize=args.vectorize,
             shrink_budget=args.shrink_budget,
-            recovery_modes=recovery_modes,
             crashes=not args.no_crashes,
             log=lambda msg: print(f"chaos: {msg}"),
         )
@@ -653,14 +692,9 @@ def main(argv=None) -> int:
     )
     res.add_argument(
         "--max-restarts", type=_nonneg_int, default=3, metavar="N",
-        help="coordinated rollbacks to attempt before giving up with a "
-        "crash report (default 3)",
-    )
-    res.add_argument(
-        "--recovery-mode", choices=["global", "local"], default="global",
-        help="crash recovery discipline: global = roll every rank back "
-        "to its checkpoint (default), local = restart only the crashed "
-        "rank, re-serving its messages from the sender log",
+        help="crashed-processor restarts to attempt before giving up "
+        "with a crash report (default 3); a crash restarts only the "
+        "crashed processor, re-serving its messages from the sender log",
     )
     res.add_argument(
         "--log-bytes-cap", type=_pos_int, default=None, metavar="BYTES",
@@ -701,12 +735,6 @@ def main(argv=None) -> int:
         "messages",
     )
     p_chaos.add_argument(
-        "--recovery-mode", choices=["global", "local", "both"],
-        default="both",
-        help="crash-recovery discipline(s) the scheduled crash trials "
-        "run under (default: both)",
-    )
-    p_chaos.add_argument(
         "--no-crashes", action="store_true",
         help="skip the scheduled fail-stop crash trials",
     )
@@ -734,7 +762,11 @@ def main(argv=None) -> int:
     p_chaos.set_defaults(fn=cmd_chaos)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ Layered as a small distributed runtime:
   message transports (sequence numbers, ack/retransmit, dedup);
 * :mod:`~repro.runtime.faults` -- deterministic fault injection
   (network faults and fail-stop processor crashes);
-* :mod:`~repro.runtime.checkpoint` -- coordinated checkpoint/restart
-  for crash tolerance;
+* :mod:`~repro.runtime.checkpoint` -- checkpoint/restart of the
+  crashed processor for crash tolerance;
 * :mod:`~repro.runtime.diagnostics` -- progress monitoring, structured
   deadlock and crash reports;
 * :mod:`~repro.runtime.collective` -- all-to-all data reorganization;

@@ -1,14 +1,16 @@
-"""Coordinated checkpoint/restart for fail-stop crash tolerance.
+"""Checkpoint/restart for fail-stop crash tolerance.
 
 The paper (and the iPSC/860 it targets) assumes processors never die;
 :mod:`repro.runtime.faults` can now kill one mid-program.  This module
 is the recovery half: each processor periodically snapshots its local
-state, every delivered message and every consumed payload is logged,
-and after a crash the machine rolls the whole system back to the last
-per-processor checkpoints and replays deterministically.
+state, every delivered message is kept in the sender-based message
+log and every consumed payload in a per-rank receive log, and after a
+crash the machine restarts **only the crashed processor** from its
+own latest snapshot while every other processor keeps running
+(DESIGN.md §9).
 
-Why uncoordinated per-processor checkpoints are consistent here
-----------------------------------------------------------------
+Why uncoordinated per-processor checkpoints suffice
+---------------------------------------------------
 
 Classic coordinated checkpointing (Chandy-Lamport) needs marker rounds
 because an arbitrary set of local snapshots can capture a message as
@@ -25,32 +27,35 @@ runtime sidesteps both hazards:
   satisfied from the **receive log** -- and goes live exactly at its
   snapshot's operation index with its arrays, transport sequence
   state, stash and multicast cache restored.
-* Messages **crossing the cut** (sent before the sender's snapshot,
-  consumed after the receiver's) are re-injected from the **delivery
-  log**; messages the *receiver* consumed before its snapshot are not
-  re-injected, and duplicates produced by a sender re-sending past its
-  own cut are absorbed by the reliable transport's sequence-number
-  dedup (the receiver's seen-set is restored with its snapshot) or by
-  the stash's idempotent overwrite under the direct channel.
+* The live processors never rewind, so no send is ever repeated on
+  their behalf: every logged message to the restarted processor that
+  its snapshot has not consumed (and its restored stash does not hold)
+  is **re-served from the sender log** in its recorded delivery order
+  (:meth:`CheckpointStore.replay_messages`).  Duplicates produced by
+  the restarted processor re-sending past its own cut are absorbed at
+  the receivers by the reliable transport's sequence-number dedup (its
+  ``next_seq`` is restored with the snapshot, so it reuses the original
+  numbers) or by the stash's idempotent overwrite under the direct
+  channel.
 
-So any combination of per-processor cut points is a recoverable global
-state -- the logs play the role of the marker rounds, which is why
-checkpoints can be taken at dependence-level boundaries (communication
-calls) with no inter-processor coordination and no quiescence.
+So each processor's cut can be taken independently -- the logs play
+the role of the marker rounds, which is why checkpoints can be taken
+at dependence-level boundaries (communication calls) with no
+inter-processor coordination and no quiescence.
 
 Cost model: each snapshot charges ``checkpoint_word_time`` per local
-array word to the processor's clock; each rollback charges the
+array word to the processor's clock; each restart charges the
 machine-level ``restart_penalty`` plus the word cost of reloading the
-snapshot, and every processor resumes no earlier than the crash's
-model time -- so the makespan of a crashed-and-recovered run prices
-the lost work plus the recovery, exactly what
+snapshot, and the restarted processor resumes no earlier than the
+crash's model time -- so the makespan of a crashed-and-recovered run
+prices the lost work plus the recovery, exactly what
 ``benchmarks/bench_checkpoint_overhead.py`` sweeps.
 
 Snapshot integrity (DESIGN.md §12): stable storage can rot too.  When
 checksumming is on, every snapshot records a BLAKE2b digest of its
 array state; a corruption-capable plan may flip a word in a stored
 snapshot *after* the digest is taken (``checkpoint_corrupt_rate`` /
-explicit ``checkpoint_corruptions``).  Rollback then **verifies before
+explicit ``checkpoint_corruptions``).  Recovery then **verifies before
 restoring**: a snapshot whose digest no longer matches is rejected and
 recovery falls back to the previous valid cut -- more lost work,
 never garbage state.  The per-rank snapshot *history* needed for that
@@ -60,6 +65,7 @@ pc=0 baseline is never corrupted, so recovery always terminates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Dict, List, Optional, Tuple
@@ -121,8 +127,12 @@ class CheckpointPolicy:
     def __post_init__(self) -> None:
         if self.every_ops is not None and self.every_ops < 1:
             raise ValueError("every_ops must be >= 1")
-        if self.interval is not None and self.interval <= 0:
-            raise ValueError("interval must be positive")
+        if self.interval is not None and not (
+            math.isfinite(self.interval) and self.interval > 0
+        ):
+            raise ValueError(
+                f"interval must be finite and positive, got {self.interval!r}"
+            )
 
     @property
     def active(self) -> bool:
@@ -162,17 +172,11 @@ class Snapshot:
     #: snapshot so post-recovery retransmission timing is bit-identical
     arq_rto: Dict[Tuple[int, ...], float] = field(default_factory=dict)
     #: BLAKE2b digest of ``arrays`` at capture time (None when
-    #: checksumming is off); verified by rollback before restoring
+    #: checksumming is off); verified by recovery before restoring
     digest: Optional[int] = None
     #: per-rank checkpoint ordinal (0 = baseline), the key the fault
     #: plan's checkpoint-corruption stream is indexed by
     ordinal: int = 0
-
-
-#: one logical message observed entering a mailbox -- now the sender
-#: log's :class:`~.transport.LogRecord` (payload + determinants), kept
-#: under its historical name for the rollback machinery
-_Delivery = LogRecord
 
 
 @dataclass
@@ -185,8 +189,8 @@ class _Recv:
 
 
 class CheckpointStore:
-    """Snapshots plus the delivery/receive logs that make them
-    globally consistent (see the module docstring).
+    """Snapshots plus the sender and receive logs that make each one
+    restartable on its own (see the module docstring).
 
     One store lives for one :meth:`Machine.run` call, across all
     incarnations.
@@ -203,7 +207,7 @@ class CheckpointStore:
         self.plan = plan
         self.digests = digests
         #: retain full per-rank snapshot history only when the plan can
-        #: corrupt stored snapshots -- that is the only case rollback
+        #: corrupt stored snapshots -- that is the only case recovery
         #: may need an older cut to fall back to
         self.keep_history = (
             plan is not None and plan.any_checkpoint_corruption
@@ -212,8 +216,8 @@ class CheckpointStore:
         self.history: Dict[Tuple[int, ...], List[Snapshot]] = {}
         self.recv_logs: Dict[Tuple[int, ...], List[_Recv]] = {}
         #: the sender-based message log: every delivered payload plus
-        #: its determinants, the substrate of both rollback modes'
-        #: re-injection (and of ``recovery="local"``'s replay server)
+        #: its determinants, re-served to a restarted rank by
+        #: :meth:`replay_messages`
         self.log = MessageLog(bytes_cap=log_bytes_cap)
         self._ordinals: Dict[Tuple[int, ...], int] = {}
         self.checkpoints_taken = 0
@@ -227,7 +231,7 @@ class CheckpointStore:
         """Capture ``proc``'s state after its current operation.
 
         The digest is taken *before* any plan-driven storage
-        corruption flips a word, which is exactly what lets rollback
+        corruption flips a word, which is exactly what lets recovery
         detect the rot and reject the snapshot."""
         arrays = {name: arr.copy() for name, arr in proc.arrays.items()}
         words = int(sum(arr.size for arr in arrays.values()))
@@ -272,7 +276,7 @@ class CheckpointStore:
             # commit point: cuts only move forward from here, so every
             # logged message to this rank that the new cut proves dead
             # (consumed at or before it, or captured in its stash) can
-            # never be re-injected again -- truncate the sender log.
+            # never be replayed again -- truncate the sender log.
             # With snapshot history retained (checkpoint corruption),
             # an older cut may still need them, so keep everything.
             self._truncate_message_log(proc.myp, snap)
@@ -293,8 +297,8 @@ class CheckpointStore:
         """The implicit pc=0 checkpoint: initial state, free of charge.
 
         Always present, so recovery works even with no checkpoint
-        policy configured -- the rollback then simply replays the whole
-        program (maximal lost work, zero checkpoint overhead)."""
+        policy configured -- the restarted rank then simply replays its
+        whole program (maximal lost work, zero checkpoint overhead)."""
         return self.snapshot(proc)
 
     def maybe_checkpoint(self, proc) -> bool:
@@ -332,8 +336,8 @@ class CheckpointStore:
         """Record one logical message entering ``dest``'s mailbox.
 
         Delegates to the sender-based :class:`~.transport.MessageLog`:
-        first valid copy wins, determinants (src, seq, sender_pc,
-        per-receiver delivery order) travel with the payload, and a
+        first valid copy wins, determinants (src, seq, per-receiver
+        delivery order) travel with the payload, and a
         configured byte cap surfaces as a structured
         :class:`~.transport.LogOverflowError` in the sender's context.
         """
@@ -361,7 +365,7 @@ class CheckpointStore:
         proc._replay_idx += 1
         return copy_payload(log[idx].payload)
 
-    # -- rollback support ----------------------------------------------------
+    # -- recovery support ----------------------------------------------------
 
     def _verifies(self, snap: Snapshot) -> bool:
         if snap.digest is None or _transport._VERIFY_DISABLED:
@@ -375,8 +379,8 @@ class CheckpointStore:
         newer snapshots that failed verification, newest first (the
         machine traces and counts each).  The surviving snapshot is
         installed as the rank's current cut *before* log truncation
-        and re-injection run, so the whole rollback is computed
-        against the fallback cut."""
+        and replay run, so the whole restart is computed against the
+        fallback cut."""
         myp = tuple(myp)
         snap = self.snapshots.get(myp)
         if snap is None:
@@ -395,17 +399,10 @@ class CheckpointStore:
         # snapshot exactly as the pre-verification runtime did
         return snap, []
 
-    def truncate_recv_logs(self) -> None:
-        """Drop log entries past each processor's cut; the aborted
-        incarnation's suffix will be re-consumed (and re-logged) live."""
-        for myp in list(self.recv_logs):
-            self.truncate_recv_log(myp)
-
     def truncate_recv_log(self, myp: Tuple[int, ...]) -> None:
-        """Per-rank variant: drop ``myp``'s receive-log entries past its
-        cut.  Local recovery restarts one rank only, so only that
-        rank's aborted suffix is re-consumed live; every other rank's
-        log keeps growing undisturbed."""
+        """Drop ``myp``'s receive-log entries past its cut: the aborted
+        incarnation's suffix will be re-consumed (and re-logged) live.
+        Every other rank's log keeps growing undisturbed."""
         myp = tuple(myp)
         log = self.recv_logs.get(myp)
         if not log:
@@ -416,42 +413,14 @@ class CheckpointStore:
         if len(keep) != len(log):
             self.recv_logs[myp] = keep
 
-    def reinjections(self, dest: Tuple[int, ...]) -> List[_Delivery]:
-        """Messages that crossed ``dest``'s cut: delivered in a past
-        incarnation by a send the restarted sender will *skip* (its
-        ``sender_pc`` is inside the sender's snapshot), and neither
-        consumed by ``dest`` before its own cut nor already sitting in
-        its restored stash.  These must be re-materialized into the
-        fresh mailbox; everything else is either already in the
-        snapshot or will be re-sent live."""
-        dest = tuple(dest)
-        snap = self.snapshots[dest]
-        consumed = {
-            rec.tag
-            for rec in self.recv_logs.get(dest, ())
-            if rec.pc <= snap.pc
-        }
-        out = []
-        for rec in self.log.records_for(dest):
-            sender_snap = self.snapshots.get(rec.src)
-            sender_cut = sender_snap.pc if sender_snap is not None else 0
-            if rec.sender_pc > sender_cut:
-                continue  # the restarted sender will re-send this live
-            if rec.tag in consumed or rec.tag in snap.stash:
-                continue
-            out.append(rec)
-        out.sort(key=lambda rec: (rec.arrival, repr(rec.tag)))
-        return out
+    def replay_messages(self, dest: Tuple[int, ...]) -> List[LogRecord]:
+        """The replay set for a restart of ``dest``.
 
-    def local_reinjections(self, dest: Tuple[int, ...]) -> List[_Delivery]:
-        """The replay set for a **local** recovery of ``dest``.
-
-        Unlike the coordinated :meth:`reinjections`, the live ranks
-        never re-execute, so *no* send will re-happen -- the
-        ``sender_pc``-vs-sender-cut filter does not apply.  Every
-        logged message to ``dest`` that its own cut has not consumed
-        (and that its restored stash does not already hold) must be
-        re-served from the sender log.  Messages the restarted rank
+        The live ranks never re-execute, so *no* send to ``dest`` will
+        re-happen.  Every logged message to ``dest`` that its own cut
+        has not consumed (and that its restored stash does not already
+        hold) must be re-served from the sender log.  Messages the
+        restarted rank
         will itself re-send past its cut are duplicates at their
         receivers, absorbed by ARQ sequence dedup (the restored
         ``_next_seq`` reuses the original sequence numbers) or by the

@@ -74,8 +74,8 @@ class CrashEvent:
 class CrashReport:
     """Structured post-mortem when crash recovery gives up.
 
-    Built by the machine's supervision loop after ``max_restarts``
-    rollbacks have been spent (or immediately, with
+    Built by :meth:`Machine.run` once ``max_restarts`` restarts
+    have been spent (or immediately, with
     ``max_restarts=0``): which processors died, when, how many
     restarts were attempted, and where each processor's last usable
     checkpoint sits -- everything an operator needs to size the
@@ -276,11 +276,11 @@ class ProgressMonitor:
         self._check()
 
     def replace_proc(self, myp, fresh) -> None:
-        """Swap in a freshly restored incarnation of ``myp`` (local
+        """Swap in a freshly restored incarnation of ``myp`` (crash
         recovery).  The old incarnation's mailbox is drained -- every
         copy parked there is also in the sender log and will be
-        re-injected by the caller -- so each copy stays counted
-        exactly once."""
+        replayed by the caller -- so each copy stays counted exactly
+        once."""
         self._drain(myp)
         self.machine.procs[myp] = fresh
 

@@ -65,6 +65,7 @@ Fault classes modeled (all optional, all off by default):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Mapping, Optional, Tuple, Union
@@ -181,8 +182,12 @@ class FaultPlan:
             raise ValueError(
                 f"ack_drop_rate must be in [0, 1], got {self.ack_drop_rate!r}"
             )
-        if self.max_delay < 0 or self.stall_time < 0:
-            raise ValueError("max_delay and stall_time must be non-negative")
+        for name in ("max_delay", "stall_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if self.crashes is not None:
             normalized = []
             items = (
@@ -192,9 +197,10 @@ class FaultPlan:
             )
             for rank, when in items:
                 coords = (rank,) if isinstance(rank, int) else tuple(rank)
-                if when < 0:
+                if not (math.isfinite(when) and when >= 0):
                     raise ValueError(
-                        f"crash time must be non-negative, got {when!r}"
+                        f"crash time must be finite and non-negative, "
+                        f"got {when!r}"
                     )
                 normalized.append((coords, float(when)))
             object.__setattr__(self, "crashes", tuple(sorted(normalized)))

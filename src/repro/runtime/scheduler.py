@@ -53,8 +53,8 @@ class EventScheduler:
         #: myp -> (tag, mc_flag, fenced) for a parked receive
         self.waiting: Dict[Tuple[int, ...], Tuple[tuple, bool, bool]] = {}
         self.gens: Dict[Tuple[int, ...], object] = {}
-        #: the node program, kept for re-instantiating a locally
-        #: recovered rank's coroutine
+        #: the node program, kept for re-instantiating a recovered
+        #: rank's coroutine
         self._node_fn: Callable | None = None
         #: coroutine resumes ("scheduler wakeups"), surfaced by the run
         #: summary's throughput line
@@ -79,8 +79,6 @@ class EventScheduler:
         heap = self._heap
         for myp in machine.rank_order:
             self.gens[myp] = node_fn(procs[myp])
-            # after a rollback the resume clock is nonzero, so seed
-            # with the live clock rather than assuming zero
             heap.append((procs[myp].clock, myp, _START))
         heapq.heapify(heap)
         machine._delivery_watcher = self._on_delivery
@@ -157,37 +155,20 @@ class EventScheduler:
         except StopIteration:
             machine.monitor.finish(myp, clean=True)
         except ProcessorCrashed as exc:
-            if not self._recover_local(myp, exc):
+            # restart only the crashed rank: a fresh coroutine whose
+            # checkpoint fast-forward runs inside its next _step
+            fresh = machine._recover(exc)
+            if fresh is None:
                 self._fail(myp, exc)
+            else:
+                self.gens[myp] = self._node_fn(fresh)
+                self._unpark(myp, _START)
         except BaseException as exc:  # noqa: BLE001 - surfaced by Machine.run
             self._fail(myp, exc)
 
     def _fail(self, myp: Tuple[int, ...], exc: BaseException) -> None:
         self.failures.append((myp, exc))
         self.machine.monitor.finish(myp, clean=False)
-
-    def _recover_local(self, myp: Tuple[int, ...], exc) -> bool:
-        """Localized recovery: restart only the crashed rank.
-
-        Under ``recovery="local"`` the machine restores ``myp`` from
-        its own latest valid snapshot (live ranks are untouched),
-        re-injects the sender-logged messages it still needs, and
-        hands back a fresh :class:`~.machine.Processor`.  The crashed
-        rank's coroutine is re-instantiated and seeded runnable; its
-        checkpoint fast-forward replay then runs entirely inside its
-        next ``_step``.  Returns False when local recovery does not
-        apply (global mode, no checkpoint store, restart budget
-        exhausted) -- the caller falls through to the fail path.
-        """
-        machine = self.machine
-        if machine.recovery != "local":
-            return False
-        fresh = machine._local_recover(exc)
-        if fresh is None:
-            return False
-        self.gens[myp] = self._node_fn(fresh)
-        self._unpark(myp, _START)
-        return True
 
     # -- parked receives -----------------------------------------------------
 

@@ -36,7 +36,7 @@ def run_spmd(
     backend: str = "event",
     trace=None,
     checksums: Optional[bool] = None,
-    recovery: str = "global",
+    recovery: str = "local",
     log_bytes_cap: Optional[int] = None,
 ) -> RunResult:
     """Execute a generated SPMD program on the simulator.
@@ -51,10 +51,9 @@ def run_spmd(
     ``RunResult.trace``; off by default and observably free.
     ``checksums`` forces self-checking transports on/off (``None`` =
     auto: on exactly when the plan can corrupt payloads/snapshots).
-    ``recovery`` selects the crash-recovery discipline: ``"global"``
-    rolls every rank back to its checkpoint, ``"local"`` restarts only
-    the crashed rank from the sender message log; ``log_bytes_cap``
-    bounds that log per channel (structured
+    ``recovery`` accepts only ``"local"``: a crash restarts only the
+    crashed rank, re-served from the sender message log;
+    ``log_bytes_cap`` bounds that log per channel (structured
     :class:`~.transport.LogOverflowError` on overflow).
     Defaults keep the historical zero-overhead direct channel.
     """
@@ -96,7 +95,7 @@ def check_against_sequential(
     backend: str = "event",
     trace=None,
     checksums: Optional[bool] = None,
-    recovery: str = "global",
+    recovery: str = "local",
     log_bytes_cap: Optional[int] = None,
 ) -> RunResult:
     """Run and assert correctness; returns the RunResult on success.

@@ -82,6 +82,16 @@ class TestDecisionStream:
             assert 50.0 <= s < 150.0
         assert FaultPlan(seed=5).stall((2,), 3) == 0.0
 
+    @pytest.mark.parametrize("field", ["max_delay", "stall_time"])
+    @pytest.mark.parametrize(
+        "value", [-1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_delays_must_be_finite_and_non_negative(self, field, value):
+        """An infinite reorder delay would push clocks (and the
+        makespan) to inf; NaN would poison every comparison."""
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            FaultPlan(**{field: value})
+
     def test_ack_rate_defaults_to_drop_rate(self):
         assert FaultPlan(drop_rate=0.4).effective_ack_drop_rate == 0.4
         assert (

@@ -1,7 +1,7 @@
-"""Localized crash recovery: sender-based message logging end-to-end.
+"""Crash recovery: sender-based message logging end-to-end.
 
-The contract under test (ISSUE 8): with ``recovery="local"`` a crash
-rolls back **one rank** -- the crashed processor restarts from its own
+The contract under test: a crash rolls back **one rank** -- the
+crashed processor restarts from its own
 latest digest-valid snapshot while every live rank keeps executing,
 and the final arrays are still bit-identical to the fault-free oracle.
 Live senders re-serve logged messages in the recorded delivery order;
@@ -38,19 +38,16 @@ from tests.runtime.trace_workloads import (
 )
 
 
-def crash_run(spmd, params, plan, recovery="local", **kw):
+def crash_run(spmd, params, plan, **kw):
     kw.setdefault("checkpoint", CheckpointPolicy(every_ops=25))
     kw.setdefault("max_restarts", 10)
-    return run_spmd(
-        spmd, params, fault_plan=plan, recovery=recovery, **kw,
-    )
+    return run_spmd(spmd, params, fault_plan=plan, **kw)
 
 
 class TestLocalRecoveryConformance:
     """All five conformance workloads x {scalar, vector}: a mid-run
-    crash under ``recovery="local"`` still produces
-    the fault-free oracle's arrays bit for bit, and the PR 5 trace
-    invariants hold."""
+    crash still produces the fault-free oracle's arrays bit for bit,
+    and the PR 5 trace invariants hold."""
 
     @pytest.mark.parametrize("vectorize", [False, True],
                              ids=["scalar", "vector"])
@@ -69,7 +66,6 @@ class TestLocalRecoveryConformance:
         rank = sorted(base.arrays)[0]
         plan = FaultPlan(crashes={rank: base.makespan / 2})
         res = crash_run(spmd, scenario.params, plan, trace=True)
-        assert res.recovery_mode == "local"
         assert res.restarts == 1
         assert res.crash_events[0].myp == rank
         assert same_arrays(base, res)
@@ -90,20 +86,10 @@ class TestLocalRecoveryConformance:
         rank = sorted(base.arrays)[0]
         plan = FaultPlan(crashes={rank: base.makespan / 2})
         res = crash_run(spmd, params, plan, trace=True)
-        assert res.recovery_mode == "local"
         assert res.restarts == 1
         assert res.crash_events[0].myp == rank
         assert same_arrays(base, res)
         assert chaos._invariant_violation(res) is None
-
-    def test_both_modes_agree_on_the_answer(self):
-        spmd = fig2_spmd()
-        base = run_spmd(spmd, FIG2_PARAMS)
-        plan = FaultPlan(crashes={1: base.makespan / 2})
-        for mode in ("global", "local"):
-            res = crash_run(spmd, FIG2_PARAMS, plan, recovery=mode)
-            assert res.recovery_mode == mode
-            assert same_arrays(base, res)
 
     def test_repeated_runs_agree_on_recovery_accounting(self):
         """Local recovery is deterministic: repeated runs report the
@@ -118,35 +104,46 @@ class TestLocalRecoveryConformance:
         assert len({r.log_bytes_peak for r in runs}) == 1
 
 
-class TestLocalBeatsGlobal:
-    """The headline: recovery cost ~O(1 rank) instead of O(P)."""
+class TestRecoveryCost:
+    """The headline: recovery costs about one rank's work, not P."""
 
-    def test_local_wastes_less_work_than_global(self):
+    def test_only_the_crashed_rank_pays(self):
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
-        glob = crash_run(spmd, FIG2_PARAMS, plan, recovery="global")
-        loc = crash_run(spmd, FIG2_PARAMS, plan, recovery="local")
-        assert same_arrays(base, glob) and same_arrays(base, loc)
-        # global rewinds every rank; local rewinds exactly one
-        assert glob.work_wasted > 0 and loc.work_wasted > 0
-        assert loc.work_wasted < glob.work_wasted
-        assert loc.recovery_time < glob.recovery_time
+        res = crash_run(spmd, FIG2_PARAMS, plan, trace=True)
+        assert same_arrays(base, res)
+        assert res.work_wasted > 0
+        # one restart, on the crashed rank; the live ranks never rewind
+        restarts = res.trace.by_kind("restart")
+        assert [ev.rank for ev in restarts] == [(1,)]
+        assert res.recovery_time == restarts[0].duration
+        assert sum(
+            s.recovery_time for s in res.stats.values()
+        ) == res.recovery_time
+        assert all(
+            s.recovery_time == 0
+            for myp, s in res.stats.items() if myp != (1,)
+        )
         # the sender log is live only when a store exists; a crash run
-        # under local mode must have logged something
-        assert loc.log_bytes_peak > 0
+        # must have logged something
+        assert res.log_bytes_peak > 0
 
-    def test_fault_free_run_reports_global_defaults(self):
+    def test_fault_free_run_reports_zero_recovery(self):
         res = run_spmd(fig2_spmd(), FIG2_PARAMS)
-        assert res.recovery_mode == "global"
+        assert res.restarts == 0
         assert res.work_wasted == 0.0
         assert res.log_bytes_peak == 0
 
-    def test_recovery_mode_validated(self):
+    def test_recovery_keyword_accepts_only_local(self):
         spmd = fig2_spmd()
-        with pytest.raises(ValueError):
-            Machine(spmd.program, spmd.space, FIG2_PARAMS,
-                    recovery="quantum")
+        Machine(spmd.program, spmd.space, FIG2_PARAMS, recovery="local")
+        for mode in ("global", "quantum"):
+            with pytest.raises(ValueError, match="was removed"):
+                Machine(spmd.program, spmd.space, FIG2_PARAMS,
+                        recovery=mode)
+            with pytest.raises(ValueError, match="was removed"):
+                run_spmd(spmd, FIG2_PARAMS, recovery=mode)
 
 
 class TestCrashDuringRecovery:
@@ -323,8 +320,7 @@ class TestPoolIntegrity:
     bearing shell in the recycling pool, where a later incarnation
     could re-serve stale words."""
 
-    @pytest.mark.parametrize("recovery", ["global", "local"])
-    def test_pool_holds_no_payloads_after_crash(self, recovery):
+    def test_pool_holds_no_payloads_after_crash(self):
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
@@ -333,7 +329,6 @@ class TestPoolIntegrity:
             fault_plan=plan,
             checkpoint=CheckpointPolicy(every_ops=25),
             max_restarts=10,
-            recovery=recovery,
         )
         res = machine.run(spmd.node)
         assert res.restarts == 1
@@ -348,16 +343,16 @@ class TestPoolIntegrity:
 
 
 class TestChaosCrashTrials:
-    """The chaos harness explores crash schedules under both recovery
-    modes and can replay them from JSON reproducers."""
+    """The chaos harness explores crash schedules and can replay them
+    from JSON reproducers."""
 
-    def test_explore_covers_both_modes_cleanly(self):
+    def test_explore_covers_crash_schedules_cleanly(self):
         rep = chaos.explore(
             workloads=["fig2"], seeds=0, targeted=False,
         )
         assert rep.ok
-        # 2 ranks x 2 fractions x 2 modes
-        assert rep.trials == 8
+        # 2 ranks x 2 fractions
+        assert rep.trials == 4
 
     def test_crash_reproducer_round_trips(self):
         scenario = chaos.WORKLOADS["fig2"]
@@ -365,21 +360,35 @@ class TestChaosCrashTrials:
         doc = chaos._make_reproducer(
             scenario, "reliable", plan,
             expected="oracle", observed="clean",
-            recovery="local", checkpoint=chaos._CRASH_POLICY,
+            checkpoint=chaos._CRASH_POLICY,
         )
         rebuilt = chaos.plan_from_json(doc["plan"])
         assert rebuilt.crashes == plan.crashes
-        assert doc["recovery"] == "local"
+        assert "recovery" not in doc
         policy = chaos._policy_from_json(doc["checkpoint"])
         assert policy == chaos._CRASH_POLICY
         reproduced, observed = chaos.replay_reproducer(doc)
         assert reproduced and observed == "clean"
 
-    def test_finding_describe_names_recovery_mode(self):
+    @pytest.mark.parametrize("recovery", ["global", "local"])
+    def test_old_reproducer_recovery_field_is_ignored(self, recovery):
+        """Reproducers written while a recovery mode was recorded
+        still replay; the field no longer selects anything."""
+        scenario = chaos.WORKLOADS["fig2"]
+        doc = chaos._make_reproducer(
+            scenario, "reliable", FaultPlan(crashes={1: 1156.0}),
+            expected="oracle", observed="clean",
+            checkpoint=chaos._CRASH_POLICY,
+        )
+        doc["recovery"] = recovery
+        reproduced, observed = chaos.replay_reproducer(doc)
+        assert reproduced and observed == "clean"
+
+    def test_finding_describe_names_transport(self):
         finding = chaos.ChaosFinding(
             scenario="fig2", transport="reliable",
             expected="oracle", observed="array-mismatch",
             plan=FaultPlan(crashes={0: 100.0}), events=1,
-            reproducer={}, recovery="local",
+            reproducer={},
         )
-        assert "local" in finding.describe()
+        assert "fig2 [reliable]" in finding.describe()

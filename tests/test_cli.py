@@ -71,9 +71,12 @@ class TestCLI:
         assert "projection cache" in captured.err
         assert "compile time" in captured.err
 
-    def test_missing_block_rejected(self, program_file):
-        with pytest.raises(SystemExit):
-            main(["compile", program_file])
+    def test_missing_block_rejected(self, program_file, capsys):
+        assert main(["compile", program_file]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: --block LOOPVAR=SIZE is required for this "
+            "command\n"
+        )
 
     def test_no_aggregate_flag(self, program_file, capsys):
         assert (
@@ -335,6 +338,14 @@ class TestCorruptionCLI:
         ["--crash-at", "zero@"],
         ["--backend", "threads"],
         ["--reliability", "onesided"],
+        ["--recovery-mode", "local"],
+        ["--crash-at", "0@nan"],
+        ["--crash-at", "0@inf"],
+        ["--checkpoint-interval", "nan"],
+        ["--checkpoint-interval", "inf"],
+        ["--max-delay", "inf", "--reorder-rate", "0.1"],
+        ["--max-delay", "nan"],
+        ["--stall-time", "inf"],
     ])
     def test_invalid_knob_values_rejected_at_parse(self, program_file,
                                                    flags):
@@ -342,6 +353,57 @@ class TestCorruptionCLI:
             main(["run", program_file, "--block", "i=16",
                   "-D", "N=70", "-D", "T=1", "-D", "P=3"] + flags)
         assert info.value.code == 2
+
+
+class TestInputErrors:
+    """Malformed command-line input ends in one ``repro: error:`` line
+    and exit status 2, never in a traceback."""
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--block", "i", "-D", "N=70", "-D", "T=1", "-D", "P=3"],
+         "--block 'i'"),
+        (["--block", "i=32", "-D", "N", "-D", "T=1", "-D", "P=3"],
+         "-D 'N'"),
+        (["--block", "i=0", "-D", "N=70", "-D", "T=1", "-D", "P=3"],
+         "SIZE must be >= 1"),
+        (["--block", "i=32", "-D", "N=70", "-D", "T=1"],
+         "missing parameter value(s) P"),
+        (["--block", "i=32", "-D", "P=3"],
+         "missing parameter value(s) N, T"),
+        (["--block", "j=8", "-D", "N=70", "-D", "T=1", "-D", "P=3"],
+         "lacks blocked loop(s) ['j']"),
+    ], ids=["block-no-size", "define-no-value", "block-zero",
+            "missing-P", "missing-N-T", "block-unknown-loop"])
+    def test_bad_run_input(self, program_file, capsys, argv, fragment):
+        assert main(["run", program_file] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert fragment in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", []),
+        ("compile", ["--block", "i=32"]),
+        ("run", ["--block", "i=32"]),
+    ])
+    def test_missing_program_file(self, tmp_path, capsys, command, extra):
+        missing = str(tmp_path / "absent.loop")
+        assert main([command, missing] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: cannot read program")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", [
+        "array X[N + 1]\nfor i = 0 to N do\n  X[i] = = 1\n",
+        "array X[N + 1]\nfor i = 0 to N do\n  X[i] = $\n",
+    ], ids=["parse", "lex"])
+    def test_malformed_program(self, tmp_path, capsys, source):
+        path = tmp_path / "bad.loop"
+        path.write_text(source)
+        assert main(["compile", str(path), "--block", "i=8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestChaosCLI:
